@@ -66,10 +66,8 @@ bench-smoke:
 
 # Canonical bench options: the configuration every checked-in BENCH_N.json is
 # produced under. The gate refuses to compare documents with different
-# options, so record and gate must agree. -jit entered at BENCH_7.json,
-# -stitch at BENCH_8.json, which is therefore the first baseline comparable
-# under these options.
-BENCHOPTS = -quick -seqemu -jit -stitch -sessions 500 -load-j 16
+# options, so record and gate must agree. -jit entered at BENCH_7.json.
+BENCHOPTS = -quick -seqemu -jit -sessions 500 -load-j 16
 # Newest checked-in bench record (highest N).
 BENCHBASE = $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
 

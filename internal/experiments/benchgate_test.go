@@ -203,3 +203,86 @@ func TestGateBenchSessionLoadShed(t *testing.T) {
 		t.Fatalf("pre-shed baseline should not disable the within-document bars: %v", bad)
 	}
 }
+
+// retiredBaseline is a BENCH_9-shaped baseline: recorded with the retired
+// superblock-stitching knob, so its options carry stitch_depth and each
+// workload has one extra row at stitch_depth > 0 with fewer cycles than its
+// jit row.
+const retiredBaseline = `{
+  "schema": 1,
+  "options": {"prec": 200, "quick": true, "max_sequence_len": 16, "storm_threshold": 0, "jit_threshold": 8, "stitch_depth": 4},
+  "rows": [
+    {"workload": "NAS LU", "specifics": "Class S", "system": "mpfr200", "max_sequence_len": 16, "jit_threshold": 0, "virt_cycles": 5000, "fp_traps": 90},
+    {"workload": "NAS LU", "specifics": "Class S", "system": "mpfr200", "max_sequence_len": 16, "jit_threshold": 8, "virt_cycles": 3000, "fp_traps": 30, "sb_hits": 60},
+    {"workload": "NAS LU", "specifics": "Class S", "system": "mpfr200", "max_sequence_len": 16, "jit_threshold": 8, "stitch_depth": 4, "virt_cycles": 2900, "fp_traps": 30, "sb_hits": 60, "sb_stitched": 40}
+  ]
+}`
+
+// stitchFreeDoc is what the current bench produces for retiredBaseline's
+// configuration: the same options without the knob, and no stitched rows.
+func stitchFreeDoc() *BenchDoc {
+	return &BenchDoc{
+		Schema:  1,
+		Options: BenchOptions{Prec: 200, Quick: true, SeqLen: 16, JIT: 8},
+		Rows: []BenchRow{
+			{Workload: "NAS LU", Specifics: "Class S", System: "mpfr200", SeqLen: 16,
+				VirtCycles: 5000, FPTraps: 90},
+			{Workload: "NAS LU", Specifics: "Class S", System: "mpfr200", SeqLen: 16, JIT: 8,
+				VirtCycles: 3000, FPTraps: 30, SBHits: 60},
+		},
+	}
+}
+
+func TestGateRetiredStitchRowsIgnored(t *testing.T) {
+	base, err := parseBenchDoc([]byte(retiredBaseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Rows) != 2 {
+		t.Fatalf("baseline kept %d rows, want the 2 without stitch_depth", len(base.Rows))
+	}
+	if bad := GateBench(base, stitchFreeDoc()); len(bad) != 0 {
+		t.Fatalf("stitch-free document failed against the retired baseline: %v", bad)
+	}
+}
+
+func TestGateRetiredBaselineStillCatchesRegressions(t *testing.T) {
+	base, err := parseBenchDoc([]byte(retiredBaseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := stitchFreeDoc()
+	cur.Rows[1].VirtCycles = 3100 // the jit row, which the baseline shares
+	if bad := GateBench(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "virt cycles 3000 -> 3100") {
+		t.Fatalf("cycle regression on an intersecting row not caught: %v", bad)
+	}
+	cur = stitchFreeDoc()
+	cur.Rows = cur.Rows[1:] // drop the seqemu row
+	if bad := GateBench(base, cur); len(bad) != 1 || !strings.Contains(bad[0], "disappeared") {
+		t.Fatalf("missing non-stitch row not caught: %v", bad)
+	}
+}
+
+// TestReadBenchDocBENCH9 checks the baseline `make bench-gate` compares
+// against: its stitched rows are gone, no two remaining rows share a key,
+// and its options equal those the canonical bench options record.
+func TestReadBenchDocBENCH9(t *testing.T) {
+	doc, err := ReadBenchDoc(filepath.Join("..", "..", "BENCH_9.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[benchKey]bool{}
+	for _, r := range doc.Rows {
+		k := benchKey{r.Workload, r.Specifics, r.System, r.SeqLen, r.JIT}
+		if seen[k] {
+			t.Fatalf("two baseline rows share key %v", k)
+		}
+		seen[k] = true
+	}
+	if len(doc.Rows) != 30 {
+		t.Fatalf("BENCH_9.json kept %d rows, want 30 (10 workloads x 3 rungs)", len(doc.Rows))
+	}
+	if want := (BenchOptions{Prec: 200, Quick: true, SeqLen: 16, JIT: 8}); doc.Options != want {
+		t.Fatalf("options %+v, want %+v", doc.Options, want)
+	}
+}

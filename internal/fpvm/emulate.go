@@ -10,9 +10,8 @@ import (
 )
 
 // kindRunners dispatches a decoded instruction to its per-kind emulation
-// body. The table is shared by the interpreter (emulate) and the trace-JIT
-// tier: a superblock thunk pre-resolves its runner at compile time, so
-// re-entry skips the switch along with decode and bind.
+// body. The table is shared by the interpreter (emulate) and superblock
+// re-entry in runTrace, which skips decode and bind but runs the same body.
 var kindRunners = [...]func(*VM, *machine.Machine, *decodedInst) error{
 	kindArith:   (*VM).runArith,
 	kindCompare: (*VM).runCompare,

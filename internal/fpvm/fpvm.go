@@ -90,45 +90,35 @@ type Config struct {
 	// instead of growing the arena (and never aborts the run). 0 disables.
 	ArenaHardCap int
 	// JITThreshold arms the trace-JIT superblock tier: when a site's FP-trap
-	// delivery count crosses this value, its coalesced straight-line run is
-	// compiled into a cached superblock — a pre-decoded, pre-bound trace of
-	// thunks installed as a patch at the entry — so subsequent visits
-	// re-enter at patch-check cost with zero delivery, zero decode, and zero
-	// bind. Superblocks are invalidated on side-table writes, code-segment
-	// writes, storm patches, and Reattach, and any compile failure degrades
-	// the site back to the classic per-trap path. 0 disables the tier and
-	// preserves behavior bit for bit.
+	// delivery count crosses this value, the trace rooted there (the run
+	// sequence emulation coalesces) is compiled into a cached superblock — a
+	// pre-decoded, pre-bound copy of the trace installed as a patch at the
+	// entry — so subsequent visits re-enter at patch-check cost with zero
+	// delivery, zero decode, and zero bind. Superblocks are invalidated on
+	// side-table writes, code-segment writes, storm patches, and Reattach,
+	// and any compile failure degrades the site back to the classic per-trap
+	// path. 0 disables the tier and preserves behavior bit for bit.
 	JITThreshold int
-	// StitchDepth arms superblock stitching on top of the trace-JIT tier
-	// (requires JITThreshold > 0): after a superblock's thunks retire, the
-	// handler walks the glue instructions behind the trace (branches, integer
-	// ops, FP moves — anything that can neither trap nor carry side-table
-	// dispatch) and, when control lands on another valid superblock entry,
-	// chains straight into its thunks with no patch dispatch at all — a trace
-	// graph instead of isolated runs. Each link revalidates the successor
-	// against the code/side-table versions (a discarded successor severs the
-	// link, never corrupts it); this value caps the links per delivery. A
-	// chained Step retires every linked run at once, so instruction budgets
-	// pause at coarser boundaries. 0 disables stitching and preserves
-	// behavior bit for bit.
-	StitchDepth int
 	// SBCache attaches a shared read-mostly superblock cache, keyed by
-	// (pointer-identical immutable program, entry index): compiled traces are
-	// published to it and Reattach eagerly adopts every published trace that
-	// the session's own side table permits, so in a session pool only the
-	// first tenant per program pays compilation. Adopted blocks live in
-	// per-session wrappers with private version stamps — one tenant's code
-	// writes, storm patches, or degradations never touch another tenant's
-	// traces or the published ones. Warm attachment changes modeled cycles
-	// (the warm-up deliveries and compile costs disappear) but never any
-	// guest-visible output. nil disables sharing and preserves behavior bit
-	// for bit.
+	// (pointer-identical immutable program, trace cap, entry index):
+	// compiled traces are published to it, and when the architectural system
+	// is Vanilla, Reattach eagerly adopts every published trace that the
+	// session's own side table permits, so in a session pool only the first
+	// tenant per program pays compilation. Adopted blocks live in per-session
+	// wrappers with private version stamps — one tenant's code writes, storm
+	// patches, or degradations never touch another tenant's traces or the
+	// published ones. Warm attachment changes modeled cycles (the warm-up
+	// deliveries and compile costs disappear). It would change guest output
+	// under any system but Vanilla — an adopted entry emulates, and boxes,
+	// visits a cold run still executes natively — so other systems publish
+	// but compile cold. nil disables sharing and preserves behavior bit for
+	// bit.
 	SBCache *SBCache
 	// Sanitize attaches the numerical sanitizer: the guest runs under the
 	// sanitizer's wrapping arithmetic system, which carries a high-precision
 	// and an interval shadow beside every primary value, and the VM feeds it
-	// per-instruction PC attribution from all three retirement paths (trap
-	// delivery, sequence coalescing, superblock thunks). When set it
+	// per-instruction PC attribution from both retirement paths (the decode
+	// cache walk of a trap delivery and a superblock re-entry). When set it
 	// supersedes Config.System (the wrapper's primary is the architectural
 	// system); because the wrapper delegates every guest-visible decision
 	// and OpCycles to its primary, sanitizer-on is bit- and cycle-identical
@@ -253,7 +243,9 @@ func Attach(m *machine.Machine, cfg Config) *VM {
 // reattached VM is bit-identical in behavior, stats, and modeled cycles to
 // one returned by Attach on a fresh machine.
 func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
+	arch := cfg.System
 	if cfg.Sanitize != nil {
+		arch = cfg.Sanitize.Primary()
 		cfg.System = cfg.Sanitize.System()
 		// Callers install m.Telem before attaching; mirror sanitizer
 		// observations into the same site table -topsites ranks.
@@ -354,78 +346,90 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	m.OutFilter = vm.outFn
 
 	// Shared warm cache: adopt every trace another session already published
-	// for this program, so this attach starts hot instead of recompiling.
-	// Must run last — it installs entry patches through vm.sbFn and stamps
-	// wrappers against the side table the caller has finished building.
-	if cfg.JITThreshold > 0 && cfg.SBCache != nil {
+	// for this program, so this attach starts hot instead of recompiling —
+	// under Vanilla only, whose emulation prints exactly like native (see
+	// Config.SBCache). Must run last — it installs entry patches through
+	// vm.sbFn and stamps wrappers against the side table the caller has
+	// finished building.
+	if _, vanilla := arch.(arith.Vanilla); vanilla && cfg.JITThreshold > 0 && cfg.SBCache != nil {
 		vm.adoptShared(m)
 	}
 }
 
-// handleFPTrap is the SIGFPE-analog entry point: decode (cached), bind,
-// emulate, optionally coalesce the following straight-line FP run into the
-// same delivery, and occasionally collect garbage (§4.1). Any degradable
+// handleFPTrap is the SIGFPE-analog entry point: it retires the trace rooted
+// at the faulting instruction through decode (cached), bind and emulate —
+// the instruction alone, or with sequence emulation the straight-line FP run
+// behind it, all under this one delivery — counts the delivery toward the
+// trace JIT, and occasionally collects garbage (§4.1). Any degradable
 // failure on that path — unsupported form, injected fault, arena hard cap —
 // falls back to the graceful-degradation engine instead of killing the run.
 func (vm *VM) handleFPTrap(f *machine.TrapFrame) error {
 	vm.Stats.Traps++
-	if f.M.Telem != nil {
-		vm.telemPC = f.Inst.Addr
-	}
-	if vm.inject != nil {
-		vm.injectPC = f.Inst.Addr
-		// The run-panic seam models a runtime bug the degradation engine
-		// cannot classify: it escapes the VM on purpose. Only the session
-		// layer's recover() stands between this panic and the process — that
-		// containment (and the pool quarantine behind it) is what the seam
-		// exists to prove.
-		if vm.inject.Fire(faultinject.SeamRunPanic, f.Inst.Addr) {
-			panic(fmt.Sprintf("fpvm: injected run-panic at %#x (%s)", f.Inst.Addr, f.Inst.Op))
-		}
-	}
-	if vm.san != nil {
-		vm.sanNote(f.M, f.Idx, f.Inst)
+	m := f.M
+	// The run-panic seam models a runtime bug the degradation engine cannot
+	// classify: it escapes the VM on purpose. Only the session layer's
+	// recover() stands between this panic and the process — that containment
+	// (and the pool quarantine behind it) is what the seam exists to prove.
+	if j := vm.inject; j != nil && j.Fire(faultinject.SeamRunPanic, f.Inst.Addr) {
+		panic(fmt.Sprintf("fpvm: injected run-panic at %#x (%s)", f.Inst.Addr, f.Inst.Op))
 	}
 	// Read and clear the sticky condition flags, as the paper's handler
 	// does in preparation for the next instruction.
-	f.M.MXCSR.ClearFlags()
+	m.MXCSR.ClearFlags()
 
 	// Trap-storm governor: the crossing delivery itself degrades, and the
 	// site stops promoting from here on.
 	if vm.cfg.StormThreshold > 0 && vm.noteStorm(f) {
-		return vm.degrade(f.M, f.Inst, f.Idx, telemetry.DegradeStorm)
-	}
-
-	if err := vm.emulateOne(f.M, f.Idx, f.Inst); err != nil {
-		cause, ok := asDegrade(err)
-		if !ok {
-			return err // genuine machine fault: native execution would die too
-		}
-		return vm.degrade(f.M, f.Inst, f.Idx, cause)
+		vm.attribute(m, f.Idx, f.Inst)
+		return vm.degrade(m, f.Inst, f.Idx, telemetry.DegradeStorm)
 	}
 
 	// Sequence emulation: one delivery has been paid; amortize it over the
 	// rest of the basic block's FP work.
+	end := f.Idx + 1
 	if vm.cfg.MaxSequenceLen > 0 {
-		n, err := vm.coalesce(f)
-		if err != nil {
-			return err
+		end = traceEnd(m, f.Idx, 1+vm.cfg.MaxSequenceLen)
+	}
+	retired, cut, err := vm.runTrace(m, f.Idx, end, nil)
+	if retired > 1 {
+		vm.Stats.Coalesced += uint64(retired - 1)
+	}
+	if err != nil || cut && retired == 1 {
+		// A machine fault, or the faulting instruction itself degraded: the
+		// delivery is over, and a degraded site never counts toward the JIT.
+		return err
+	}
+	// The machine advances RIP past the whole run (emulate moves RIP per
+	// instruction) and credits the extra retirements from f.Coalesced.
+	f.Coalesced = retired - 1
+	if vm.cfg.MaxSequenceLen > 0 {
+		if retired > 1 {
+			vm.Stats.Sequences++
+			if t := m.Telem; t != nil {
+				t.Sequence(f.Idx, f.Inst.Addr, f.Inst.Op, retired, m.Cycles)
+			}
 		}
-		f.Coalesced = n
+		vm.Stats.SeqLenHist[seqBucket(retired)]++
 	}
 
 	// Trace-JIT tier: count the delivery toward the site's compile threshold
-	// and compile a superblock when it crosses. Degraded deliveries returned
-	// above, so a site that cannot emulate cleanly never accumulates.
+	// and compile a superblock when it crosses.
 	if vm.cfg.JITThreshold > 0 {
 		vm.noteJIT(f)
 	}
 
 	// Epoch GC, driven by allocation volume.
+	vm.maybeGC()
+	return nil
+}
+
+// maybeGC runs the epoch collector once the allocation volume since the
+// last pass reaches the budget. Both retirement tiers allocate shadow cells
+// and call it after each delivery or superblock entry.
+func (vm *VM) maybeGC() {
 	if !vm.cfg.DisableGC && vm.Arena.Allocs()-vm.lastGC >= vm.gcEvery {
 		vm.RunGC()
 	}
-	return nil
 }
 
 // sanNote attributes the instruction about to retire to the sanitizer and

@@ -78,9 +78,7 @@ func (vm *VM) patchSiteHandler(f *machine.TrapFrame) (bool, error) {
 	if err := vm.emulate(f.M, d); err != nil {
 		return vm.patchDegrade(f, err)
 	}
-	if !vm.cfg.DisableGC && vm.Arena.Allocs()-vm.lastGC >= vm.gcEvery {
-		vm.RunGC()
-	}
+	vm.maybeGC()
 	return true, nil
 }
 

@@ -1,15 +1,16 @@
 // The shared warm superblock cache: the pooled-session counterpart of the
 // trace-JIT tier. A superblock is compiled from the machine's immutable
-// predecoded instruction stream, so for a given *isa.Program the thunks are a
-// pure function of (entry index, stop-condition barriers at compile time) —
-// they carry no machine state, no side-table state, and no arithmetic-system
-// state. That makes a compiled trace safe to share across sessions running
-// the pointer-identical program: each session wraps the shared thunk slice in
-// its own superblock struct with private version stamps, and all per-session
-// mutation (revalidation restamps, invalidation, hit counts) happens on the
-// wrapper. The published thunks themselves are read-only after publication —
-// runners never write through *decodedInst — so concurrent tenants can
-// execute the same slice without synchronization.
+// predecoded instruction stream, so for a given *isa.Program a trace is a
+// pure function of (entry index, trace cap, stop-condition barriers at
+// compile time) — it carries no machine state, no side-table state, and no
+// arithmetic-system state. That makes a compiled trace safe to share across
+// sessions running the pointer-identical program under the same cap: each
+// session wraps the shared slice in its own superblock struct with private
+// version stamps, and all per-session mutation (revalidation restamps,
+// invalidation, hit counts) happens on the wrapper. The published traces
+// themselves are read-only after publication — runners never write through
+// *decodedInst — so concurrent tenants can execute the same slice without
+// synchronization.
 //
 // Staleness cannot cross sessions by construction: a tenant's code writes,
 // SetPatch calls, and storm patches advance only its own machine's version
@@ -18,6 +19,13 @@
 // is always a faithful trace for a freshly Reset machine; a session whose
 // side table forbids an entry (a correctness site or foreign patch inside
 // the trace) simply declines to adopt it at attach time.
+//
+// Output can. An adopted entry patch is live from the first instruction, so
+// the entry is emulated, and its result boxed, on visits where a cold run
+// still executes it natively because it has not yet trapped enough to
+// compile. Only Vanilla's emulation is bit- and print-identical to native
+// execution, so only Vanilla sessions adopt; sessions under any other
+// system compile cold (they still publish).
 package fpvm
 
 import (
@@ -39,18 +47,27 @@ type SBCacheStats struct {
 	// to attaching sessions.
 	Stores  uint64
 	Adopted uint64
-	// Programs and Entries size the cache.
+	// Programs counts (program, trace cap) keys; Entries the traces under
+	// them.
 	Programs int
 	Entries  int
 }
 
+// sbKey selects one program's traces under one trace cap: pointer identity
+// of the immutable *isa.Program (the contract machine.Reset already imposes
+// on pooled programs) and VM.traceCap, so a tenant never adopts a trace
+// longer or shorter than it would compile itself.
+type sbKey struct {
+	prog *isa.Program
+	cap  int
+}
+
 // SBCache is a concurrency-safe, read-mostly superblock cache shared by every
-// session whose Config points at it. Keying is by pointer identity of the
-// immutable *isa.Program (the contract machine.Reset already imposes on
-// pooled programs) plus the dense entry index.
+// session whose Config points at it, keyed by sbKey plus the dense entry
+// index.
 type SBCache struct {
 	mu    sync.RWMutex
-	progs map[*isa.Program]map[int][]sbThunk
+	progs map[sbKey]map[int][]decodedInst
 
 	lookups atomic.Uint64
 	hits    atomic.Uint64
@@ -60,40 +77,40 @@ type SBCache struct {
 
 // NewSBCache returns an empty shared superblock cache.
 func NewSBCache() *SBCache {
-	return &SBCache{progs: make(map[*isa.Program]map[int][]sbThunk)}
+	return &SBCache{progs: make(map[sbKey]map[int][]decodedInst)}
 }
 
-// publish stores a freshly compiled trace for prog at entry. First writer
-// wins: a concurrent tenant compiling the same entry produced identical
-// thunks (both translated the same immutable instruction run), so replacing
+// publish stores a freshly compiled trace under k at entry. First writer
+// wins: a concurrent tenant compiling the same entry produced an identical
+// trace (both translated the same immutable instruction run), so replacing
 // would only churn memory under readers.
-func (c *SBCache) publish(prog *isa.Program, entry int, thunks []sbThunk) {
-	if c == nil || prog == nil || len(thunks) == 0 {
+func (c *SBCache) publish(k sbKey, entry int, trace []decodedInst) {
+	if c == nil || k.prog == nil || len(trace) == 0 {
 		return
 	}
 	c.mu.Lock()
-	entries := c.progs[prog]
+	entries := c.progs[k]
 	if entries == nil {
-		entries = make(map[int][]sbThunk)
-		c.progs[prog] = entries
+		entries = make(map[int][]decodedInst)
+		c.progs[k] = entries
 	}
 	if _, ok := entries[entry]; !ok {
-		entries[entry] = thunks
+		entries[entry] = trace
 		c.stores.Add(1)
 	}
 	c.mu.Unlock()
 }
 
-// snapshot returns the published entry set for prog (nil when the program has
-// never been compiled against). The returned map is freshly allocated; the
-// thunk slices are the shared read-only traces.
-func (c *SBCache) snapshot(prog *isa.Program) map[int][]sbThunk {
+// snapshot returns the published entry set under k (nil when nothing has
+// been compiled against it). The returned map is freshly allocated; the
+// trace slices are the shared read-only ones.
+func (c *SBCache) snapshot(k sbKey) map[int][]decodedInst {
 	c.lookups.Add(1)
 	c.mu.RLock()
-	entries := c.progs[prog]
-	var out map[int][]sbThunk
+	entries := c.progs[k]
+	var out map[int][]decodedInst
 	if len(entries) > 0 {
-		out = make(map[int][]sbThunk, len(entries))
+		out = make(map[int][]decodedInst, len(entries))
 		for e, t := range entries {
 			out[e] = t
 		}
@@ -126,14 +143,14 @@ func (c *SBCache) Stats() SBCacheStats {
 }
 
 // adoptShared installs every published trace for m's program that this
-// session's side table permits, wrapping each shared thunk slice in a private
+// session's side table permits, wrapping each shared slice in a private
 // superblock. Adoption charges no modeled cycles — skipping the warm-up
 // deliveries and the compile is exactly the optimization — and increments no
 // SBCompiled counter, which is how the load harness proves warm checkouts
 // compile nothing. Version stamps are taken after every install so the
 // block's own SetPatch calls do not read as foreign side-table writes.
 func (vm *VM) adoptShared(m *machine.Machine) {
-	entries := vm.cfg.SBCache.snapshot(m.Prog)
+	entries := vm.cfg.SBCache.snapshot(sbKey{m.Prog, vm.traceCap()})
 	if entries == nil {
 		return
 	}
@@ -143,44 +160,32 @@ func (vm *VM) adoptShared(m *machine.Machine) {
 	// long trace may cross a site that later became its own entry), so our
 	// own entry patches must not count as body barriers for each other —
 	// map iteration order would otherwise make the adopted set, and with it
-	// the warm run's modeled cycles, nondeterministic. A thunk crossing a
+	// the warm run's modeled cycles, nondeterministic. A trace crossing a
 	// sibling entry executes that instruction identically, it just skips the
 	// sibling's dispatch.
 	type candidate struct {
-		entry  int
-		thunks []sbThunk
+		entry int
+		trace []decodedInst
 	}
 	var admit []candidate
-	for entry, thunks := range entries {
-		if entry < 0 || entry >= len(vm.sblocks) || entry+len(thunks) > len(insts) {
+	for entry, trace := range entries {
+		end := entry + len(trace)
+		if entry < 0 || end > len(insts) || trace[0].inst.Addr != insts[entry].Addr {
 			continue // published against a different (stale) program layout
-		}
-		if thunks[0].d.inst.Addr != insts[entry].Addr {
-			continue
 		}
 		// The same admission contract compileSB enforces, re-checked against
 		// THIS session's side table: no dispatch semantics may be shadowed.
-		if m.SiteBarrier(entry) || m.SeqBarrier(entry) {
+		if m.SeqBarrier(entry) || traceEnd(m, entry, len(trace)) < end {
 			continue
 		}
-		clean := true
-		for i := 1; i < len(thunks); i++ {
-			if m.SeqBarrier(entry + i) {
-				clean = false
-				break
-			}
-		}
-		if !clean {
-			continue
-		}
-		admit = append(admit, candidate{entry, thunks})
+		admit = append(admit, candidate{entry, trace})
 	}
 	var installed []*superblock
 	for _, c := range admit {
-		sb := &superblock{entry: c.entry, thunks: c.thunks}
 		if !m.SetPatch(insts[c.entry].Addr, vm.sbFn) {
 			continue
 		}
+		sb := &superblock{entry: c.entry, trace: c.trace}
 		vm.sblocks[c.entry] = sb
 		installed = append(installed, sb)
 	}

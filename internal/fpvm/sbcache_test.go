@@ -11,6 +11,7 @@ import (
 	"fpvm/internal/asm"
 	"fpvm/internal/isa"
 	"fpvm/internal/machine"
+	"fpvm/internal/sanitize"
 )
 
 // newSBMachine builds a fresh machine over prog with its own output buffer.
@@ -169,9 +170,10 @@ func TestSBCacheInvalidationLocality(t *testing.T) {
 }
 
 // TestSBCacheConcurrentTenants races many sessions over one shared cache and
-// pointer-identical program — some stitching, some mutating their side tables
-// mid-run — and requires every tenant to produce the native output. Run under
-// -race this is the cross-tenant staleness check at the fpvm layer.
+// pointer-identical program — some coalescing under a shorter trace cap, some
+// mutating their side tables mid-run — and requires every tenant to produce
+// the native output. Run under -race this is the cross-tenant staleness check
+// at the fpvm layer; the two caps must publish under separate keys.
 func TestSBCacheConcurrentTenants(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
 	prog := asm.MustAssemble(jitHotSrc)
@@ -193,7 +195,7 @@ func TestSBCacheConcurrentTenants(t *testing.T) {
 			}
 			cfg := Config{System: arith.Vanilla{}, JITThreshold: 3, SBCache: cache}
 			if i%3 == 0 {
-				cfg.StitchDepth = 4
+				cfg.MaxSequenceLen = 4
 			}
 			Attach(m, cfg)
 			if i%4 == 1 {
@@ -223,7 +225,45 @@ func TestSBCacheConcurrentTenants(t *testing.T) {
 			t.Fatalf("tenant %d output diverged:\nnative: %sfpvm:  %s", i, native, outs[i])
 		}
 	}
-	if s := cache.Stats(); s.Entries != 1 || s.Lookups != tenants {
+	if s := cache.Stats(); s.Entries != 2 || s.Programs != 2 || s.Lookups != tenants {
 		t.Fatalf("cache accounting off after race: %+v", s)
+	}
+}
+
+// TestSBCacheAdoptionPolicy pins who adopts at attach. Vanilla adopts, also
+// under the sanitizer's wrapper, because its emulation prints exactly like
+// native execution. Any other system compiles cold, though it still
+// publishes. A tenant under a different trace cap adopts nothing.
+func TestSBCacheAdoptionPolicy(t *testing.T) {
+	prog := asm.MustAssemble(jitHotSrc)
+	cache := NewSBCache()
+	compiled := func(cfg Config) uint64 {
+		t.Helper()
+		m, _ := newSBMachine(t, prog)
+		cfg.JITThreshold = 3
+		cfg.SBCache = cache
+		Attach(m, cfg)
+		if err := m.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return m.Stats.SBCompiled
+	}
+	for i := 0; i < 2; i++ {
+		if n := compiled(Config{System: arith.NewMPFR(113)}); n != 1 {
+			t.Fatalf("MPFR session %d compiled %d blocks, want 1 (never adopts)", i, n)
+		}
+	}
+	if n := compiled(Config{System: arith.Vanilla{}}); n != 0 {
+		t.Fatalf("Vanilla session compiled %d blocks, want 0 (adopts MPFR's publication)", n)
+	}
+	san := sanitize.New(sanitize.Options{Primary: arith.Vanilla{}})
+	if n := compiled(Config{Sanitize: san}); n != 0 {
+		t.Fatalf("sanitized Vanilla session compiled %d blocks, want 0", n)
+	}
+	if n := compiled(Config{System: arith.Vanilla{}, MaxSequenceLen: 4}); n != 1 {
+		t.Fatalf("session under a shorter trace cap compiled %d blocks, want 1", n)
+	}
+	if s := cache.Stats(); s.Adopted != 2 || s.Programs != 2 || s.Entries != 2 {
+		t.Fatalf("cache = %+v, want 2 adoptions over 2 (program, cap) keys", s)
 	}
 }

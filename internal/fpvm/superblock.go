@@ -3,14 +3,15 @@
 // emulation amortizes one delivery over a straight-line FP run but still pays
 // that delivery — plus a decode-cache probe and a bind — for every visit.
 // This tier eliminates all three: when a site's delivery count crosses
-// Config.JITThreshold, the coalesced run is compiled once into a superblock —
-// a flat slice of thunks, each holding a pre-decoded, pre-bound copy of its
-// instruction and a pre-resolved per-kind runner — and installed as a patch
-// at the entry. A later visit dispatches through the patch slot (one
-// bounds-checked compare, Cost.PatchCheck) and multi-retires the whole run
-// through the TrapFrame.Coalesced path with zero delivery, zero decode, and
-// zero bind; only the arithmetic system's own per-op cost and the boxing cost
-// remain, which is the §6 floor for any delivery mechanism.
+// Config.JITThreshold, the trace rooted there (traceEnd, the same extent
+// sequence emulation walks) is translated once into a superblock — a flat
+// slice holding a pre-decoded, pre-bound copy of each instruction — and
+// installed as a patch at the entry. A later visit dispatches through the
+// patch slot (one bounds-checked compare, Cost.PatchCheck) and multi-retires
+// the whole trace through runTrace and the TrapFrame.Coalesced path with zero
+// delivery, zero decode, and zero bind; only the arithmetic system's own
+// per-op cost and the boxing cost remain, which is the §6 floor for any
+// delivery mechanism.
 //
 // Correctness rests on the invalidation contract. A superblock is a cache of
 // what the interpreter would do, so anything that could change the
@@ -28,37 +29,23 @@ package fpvm
 
 import (
 	"fpvm/internal/faultinject"
-	"fpvm/internal/isa"
 	"fpvm/internal/machine"
 	"fpvm/internal/telemetry"
 )
 
 // sbTraceCapDefault bounds a superblock's length when sequence emulation is
 // disabled (Config.MaxSequenceLen = 0); with it enabled, the trace cap
-// matches the coalescing cap so both tiers retire identical runs.
+// matches the coalescing cap so both tiers retire identical traces.
 const sbTraceCapDefault = 64
 
-// stitchGlueCap bounds the glue instructions executed between two chained
-// superblocks. Real loop seams are a handful of instructions (an index
-// update, a compare, the branch, a reload); a longer walk is control flow
-// wandering away from the trace graph, and the chain is better severed so
-// the ordinary dispatch loop takes over.
-const stitchGlueCap = 8
-
-// sbThunk is one pre-compiled step of a superblock: an owned decoded
-// instruction (decode done, operand slots resolved into the inline buffer —
-// the paper's "bound" form) and the per-kind runner resolved at compile time.
-type sbThunk struct {
-	d   decodedInst
-	run func(*VM, *machine.Machine, *decodedInst) error
-}
-
-// superblock is one cached straight-line trace rooted at a dense instruction
-// index. sideVer/codeVer snapshot the machine's version counters at compile
-// (or last revalidation); hits counts zero-delivery entries served.
+// superblock is one cached trace rooted at a dense instruction index: the
+// decoded form of each instruction, operand slots resolved into its inline
+// buffer (the paper's "bound" form). sideVer/codeVer snapshot the machine's
+// version counters at compile (or last revalidation); hits counts
+// zero-delivery entries served.
 type superblock struct {
-	entry  int
-	thunks []sbThunk
+	entry int
+	trace []decodedInst
 
 	sideVer uint64
 	codeVer uint64
@@ -90,17 +77,17 @@ func (vm *VM) noteJIT(f *machine.TrapFrame) {
 	vm.compileSB(f)
 }
 
-// compileSB builds and installs the superblock rooted at f's site. The trace
-// is the entry instruction plus the exact forward run coalesce would walk
-// (same coalescable predicate, same cap), so both tiers share one
-// stop-condition contract. Each instruction pays the full decode + bind cost
-// once, here; a compile failure — injected at the sb-compile seam or a
-// translate refusal — is classified as a DegradeJIT degradation and the site
-// is blacklisted, keeping its classic per-trap path.
+// compileSB builds and installs the superblock rooted at f's site: the trace
+// traceEnd measures from the entry under the tier's cap, which with sequence
+// emulation on is exactly the trace the delivery just retired. Each
+// instruction pays the full decode + bind cost once, here; a compile failure
+// — injected at the sb-compile seam or a translate refusal — is classified
+// as a DegradeJIT degradation and the site is blacklisted, keeping its
+// classic per-trap path.
 func (vm *VM) compileSB(f *machine.TrapFrame) {
 	m := f.M
 	idx := f.Idx
-	if m.SiteBarrier(idx) || m.SeqBarrier(idx) {
+	if m.SeqBarrier(idx) {
 		// A patch or correctness site at the entry demands its own dispatch
 		// semantics that a superblock patch would shadow; never compile here.
 		vm.sbFailed[idx] = true
@@ -111,31 +98,20 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 		return
 	}
 
-	// Measure the trace: entry plus the straight-line run behind it.
+	// Pre-decode and pre-bind every instruction of the trace. The slice is
+	// allocated at its final length before translation fills it, so each
+	// decodedInst's srcs view stays pointed at its own inline buffer
+	// (append-style growth would copy the structs and dangle the views).
 	insts := m.Insts()
-	packed := f.Inst.Op.IsPacked()
-	limit := vm.traceCap()
-	end := idx + 1
-	for end < len(insts) && end-idx < limit && coalescable(m, end, insts[end].Op, packed) {
-		end++
-	}
-
-	// Pre-decode and pre-bind every instruction of the trace into owned
-	// thunks. The slice is allocated at its final length before translation
-	// fills it, so each decodedInst's srcs view stays pointed at its own
-	// inline buffer (append-style growth would copy the structs and dangle
-	// the views).
-	sb := &superblock{entry: idx, thunks: make([]sbThunk, end-idx)}
-	for i := range sb.thunks {
-		t := &sb.thunks[i]
+	trace := make([]decodedInst, traceEnd(m, idx, vm.traceCap())-idx)
+	for i := range trace {
 		vm.Stats.Cycles.Decode += vm.costs.DecodeMiss
 		vm.Stats.Cycles.Bind += vm.costs.Bind
 		m.Cycles += vm.costs.DecodeMiss + vm.costs.Bind
-		if err := translate(insts[idx+i], &t.d); err != nil {
+		if err := translate(insts[idx+i], &trace[i]); err != nil {
 			vm.degradeJITCompile(m, f)
 			return
 		}
-		t.run = kindRunners[t.d.kind]
 	}
 
 	// Install: the entry patch makes the machine dispatch to sbHandler
@@ -143,19 +119,18 @@ func (vm *VM) compileSB(f *machine.TrapFrame) {
 	// is taken after our own SetPatch so the install does not immediately
 	// read as a foreign side-table write.
 	m.SetPatch(f.Inst.Addr, vm.sbFn)
-	sb.sideVer = m.SideTableVersion()
-	sb.codeVer = m.CodeVersion()
-	vm.sblocks[idx] = sb
+	vm.sblocks[idx] = &superblock{entry: idx, trace: trace, sideVer: m.SideTableVersion(), codeVer: m.CodeVersion()}
 	m.Stats.SBCompiled++
 	if t := m.Telem; t != nil {
-		t.SBCompile(idx, f.Inst.Addr, f.Inst.Op, len(sb.thunks), m.Cycles)
+		t.SBCompile(idx, f.Inst.Addr, f.Inst.Op, len(trace), m.Cycles)
 	}
-	// Publish to the shared warm cache: the thunks are a pure function of the
-	// immutable program text, so another session attached to the same cache
-	// (and the same *isa.Program) can adopt them instead of recompiling. The
-	// slice itself is shared — it is read-only from here on — while version
-	// stamps and hit counts stay in each session's private wrapper.
-	vm.cfg.SBCache.publish(m.Prog, idx, sb.thunks)
+	// Publish to the shared warm cache: the trace is a pure function of the
+	// immutable program text and the cap, so another session attached to the
+	// same cache (and the same *isa.Program) can adopt it instead of
+	// recompiling. The slice itself is shared — it is read-only from here on
+	// — while version stamps and hit counts stay in each session's private
+	// wrapper.
+	vm.cfg.SBCache.publish(sbKey{m.Prog, vm.traceCap()}, idx, trace)
 }
 
 // degradeJITCompile records a failed superblock compile. Unlike the main
@@ -173,12 +148,10 @@ func (vm *VM) degradeJITCompile(m *machine.Machine, f *machine.TrapFrame) {
 }
 
 // sbHandler is the patch handler installed at a superblock's entry: validate
-// the cached trace, then execute its thunks back to back, multi-retiring the
-// run through TrapFrame.Coalesced. With Config.StitchDepth > 0 a clean
-// retirement keeps going: the handler walks the glue instructions behind the
-// trace and chains into the next superblock it lands on, up to StitchDepth
-// links per delivery. Returning handled=false (after an invalidation) sends
-// the entry through native dispatch, where it re-traps into the classic path.
+// the cached trace, then retire it through runTrace, multi-retiring the run
+// through TrapFrame.Coalesced. Returning handled=false (after an
+// invalidation) sends the entry through native dispatch, where it re-traps
+// into the classic path.
 func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
 	idx := f.Idx
 	if idx < 0 || idx >= len(vm.sblocks) || vm.sblocks[idx] == nil {
@@ -193,151 +166,16 @@ func (vm *VM) sbHandler(f *machine.TrapFrame) (bool, error) {
 
 	sb.hits++
 	m.Stats.SBHits++
-	retired, cut, err := vm.runSBThunks(m, sb)
+	retired, _, err := vm.runTrace(m, idx, idx+len(sb.trace), sb.trace)
 	if err != nil {
 		return false, err
 	}
 	if t := m.Telem; t != nil {
 		t.SBHit(idx, f.Inst.Addr, f.Inst.Op, retired)
 	}
-
-	// Stitching: chain into successor traces while retirement stays clean.
-	// Each link revalidates its target under the same version lattice a patch
-	// dispatch would; any refusal — an invalidated successor, an injected
-	// stitch fault, glue that wanders — severs the chain at an instruction
-	// boundary and lets the ordinary dispatch loop resume from RIP.
-	for links := 0; !cut && links < vm.cfg.StitchDepth; links++ {
-		next, werr := vm.stitchNext(m)
-		if werr != nil {
-			return false, werr
-		}
-		if next < 0 {
-			break
-		}
-		nin := m.Insts()[next]
-		if j := vm.inject; j != nil && j.Fire(faultinject.SeamSBStitch, nin.Addr) {
-			vm.degradeJITStitch(m, next)
-			break
-		}
-		nsb := vm.sblocks[next]
-		if m.CodeVersion() != nsb.codeVer || !vm.revalidateSB(m, nsb) {
-			// A discarded successor severs the link, never corrupts it: RIP is
-			// parked at the entry, which re-traps through the classic path on
-			// the next Step.
-			vm.invalidateSB(m, next)
-			break
-		}
-		nsb.hits++
-		m.Stats.SBHits++
-		m.Stats.SBStitched++
-		var r int
-		r, cut, err = vm.runSBThunks(m, nsb)
-		if err != nil {
-			return false, err
-		}
-		retired += r
-		if t := m.Telem; t != nil {
-			t.SBStitch(next, nin.Addr, nin.Op, r)
-		}
-	}
-
-	// Glue instructions executed by stitchNext retired themselves through the
-	// machine's own counters, so Coalesced reports only thunk retirements.
 	f.Coalesced = retired - 1
-
-	// The trace allocates shadow cells like any emulation; keep the epoch GC
-	// running on the same trigger the trap path uses.
-	if !vm.cfg.DisableGC && vm.Arena.Allocs()-vm.lastGC >= vm.gcEvery {
-		vm.RunGC()
-	}
+	vm.maybeGC()
 	return true, nil
-}
-
-// runSBThunks executes one superblock's thunks back to back, charging the
-// dispatch cost per thunk and advancing RIP as each retires. It returns the
-// thunk retirements, whether a degradable fault cut the run short (the
-// degraded instruction is retired natively and counted), and any genuine
-// machine fault.
-func (vm *VM) runSBThunks(m *machine.Machine, sb *superblock) (retired int, cut bool, err error) {
-	for i := range sb.thunks {
-		t := &sb.thunks[i]
-		if vm.inject != nil {
-			vm.injectPC = t.d.inst.Addr
-		}
-		if m.Telem != nil {
-			vm.telemPC = t.d.inst.Addr
-		}
-		if vm.san != nil {
-			// Superblock multi-retire: attribute each thunk's shadow
-			// observations to its own PC, not the trace entry's.
-			vm.sanNote(m, sb.entry+i, t.d.inst)
-		}
-		vm.Stats.Cycles.Emulate += vm.costs.SBDispatch
-		m.Cycles += vm.costs.SBDispatch
-		if rerr := t.run(vm, m, &t.d); rerr != nil {
-			cause, ok := asDegrade(rerr)
-			if !ok {
-				return retired, false, rerr // genuine machine fault: native execution would die too
-			}
-			// Degradable fault mid-trace (arena cap, injected access fault):
-			// retire this instruction natively via the degrade engine and cut
-			// the run short, exactly as coalesce does.
-			if derr := vm.degrade(m, t.d.inst, sb.entry+i, cause); derr != nil {
-				return retired, false, derr
-			}
-			return retired + 1, true, nil
-		}
-		m.Advance(t.d.inst)
-		retired++
-	}
-	return retired, false, nil
-}
-
-// stitchNext walks the glue between traces: starting at RIP it executes
-// instructions that can neither trap nor carry side-table dispatch —
-// branches, integer ops, FP moves and bitwise ops, stack and output
-// instructions — until control lands on a superblock entry (returned) or the
-// walk must stop (-1): an FP-arith instruction (it would deliver a trap,
-// which only the dispatch loop may do), a halt, any side-table entry, an
-// off-boundary RIP, or the glue cap. Executed glue is indistinguishable from
-// native dispatch — ExecAt is Step minus the patch check, and glue has no
-// patch — so severing the walk at any point leaves the machine exactly where
-// the ordinary loop would pick it up. A genuine machine fault propagates;
-// native execution would die the same way.
-func (vm *VM) stitchNext(m *machine.Machine) (int, error) {
-	insts := m.Insts()
-	for g := 0; ; g++ {
-		idx, ok := m.InstIndex(m.RIP)
-		if !ok {
-			return -1, nil // next Step reports the boundary fault
-		}
-		if vm.sblocks[idx] != nil {
-			return idx, nil
-		}
-		if g == stitchGlueCap {
-			return -1, nil
-		}
-		op := insts[idx].Op
-		if op.IsFPArith() || op == isa.OpHalt || m.SeqBarrier(idx) {
-			return -1, nil
-		}
-		if err := m.ExecAt(idx); err != nil {
-			return -1, err
-		}
-	}
-}
-
-// degradeJITStitch records an injected stitch-link failure: the chain is
-// severed before entering the successor, whose state is untouched — the next
-// Step dispatches it through its own patch — so nothing is re-executed and
-// nothing is blacklisted; only the degradation is accounted.
-func (vm *VM) degradeJITStitch(m *machine.Machine, idx int) {
-	vm.Stats.Degradations++
-	vm.Stats.DegradeByCause[telemetry.DegradeJIT]++
-	if t := m.Telem; t != nil {
-		in := m.Insts()[idx]
-		t.Degradation(idx, in.Addr, in.Op, telemetry.DegradeJIT, m.Cycles)
-	}
 }
 
 // revalidateSB checks a superblock against the current side table. An
@@ -353,13 +191,8 @@ func (vm *VM) revalidateSB(m *machine.Machine, sb *superblock) bool {
 	if cur == sb.sideVer {
 		return true
 	}
-	if m.SiteBarrier(sb.entry) {
+	if m.SiteBarrier(sb.entry) || traceEnd(m, sb.entry, len(sb.trace)) < sb.entry+len(sb.trace) {
 		return false
-	}
-	for i := 1; i < len(sb.thunks); i++ {
-		if m.SeqBarrier(sb.entry + i) {
-			return false
-		}
 	}
 	sb.sideVer = cur
 	return true

@@ -146,7 +146,7 @@ func TestJITCompilesAndHits(t *testing.T) {
 }
 
 // TestJITSingleSiteTrace pins the deterministic shape of jitHotSrc: exactly
-// one superblock of exactly three thunks, hit on every iteration past the
+// one superblock of exactly three instructions, hit on every iteration past the
 // threshold.
 func TestJITSingleSiteTrace(t *testing.T) {
 	native, _ := runNative(t, jitHotSrc)
@@ -165,8 +165,8 @@ func TestJITSingleSiteTrace(t *testing.T) {
 	if sb == nil {
 		t.Fatal("no superblock cached at the divsd entry")
 	}
-	if len(sb.thunks) != 3 {
-		t.Fatalf("trace length %d, want 3 (divsd + two moves)", len(sb.thunks))
+	if len(sb.trace) != 3 {
+		t.Fatalf("trace length %d, want 3 (divsd + two moves)", len(sb.trace))
 	}
 	if sb.hits != m.Stats.SBHits {
 		t.Fatalf("per-block hits %d disagree with machine stat %d", sb.hits, m.Stats.SBHits)
@@ -231,8 +231,8 @@ func sbInvalidationCase(t *testing.T, mutate func(*machine.Machine), wantTraceLe
 	if sb == nil {
 		t.Fatal("no rebuilt superblock at the divsd entry")
 	}
-	if len(sb.thunks) != wantTraceLen {
-		t.Fatalf("rebuilt trace length %d, want %d", len(sb.thunks), wantTraceLen)
+	if len(sb.trace) != wantTraceLen {
+		t.Fatalf("rebuilt trace length %d, want %d", len(sb.trace), wantTraceLen)
 	}
 }
 
@@ -440,8 +440,8 @@ func TestJITStormPatchInvalidates(t *testing.T) {
 	if sb == nil {
 		t.Fatal("no rebuilt superblock at site A")
 	}
-	if len(sb.thunks) != 1 {
-		t.Fatalf("rebuilt trace length %d, want 1 (stops at the storm patch)", len(sb.thunks))
+	if len(sb.trace) != 1 {
+		t.Fatalf("rebuilt trace length %d, want 1 (stops at the storm patch)", len(sb.trace))
 	}
 }
 

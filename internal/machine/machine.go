@@ -99,7 +99,6 @@ type Stats struct {
 	PatchInvokes    uint64            // trap-and-patch handler invocations
 	SBCompiled      uint64            // superblocks compiled by the trace-JIT tier
 	SBHits          uint64            // superblock entries executed (zero-delivery re-entries)
-	SBStitched      uint64            // superblock entries reached by stitching (no patch dispatch at all)
 	SBInvalidations uint64            // superblocks discarded on side-table/code-version changes
 	TrapByFlag      map[string]uint64 // trap counts keyed by flag set
 	Trap            trap.Stats        // delivery cost accounting

@@ -7,8 +7,8 @@ package sanitize_test
 // summation, whose compensation term shows a huge per-op shadow error by
 // design but never lets it reach anything the guest can observe. The same
 // expectations must hold across all execution tiers (interpreter, sequence
-// emulation, trace-JIT, JIT+stitching), pinning superblock multi-retire
-// PC attribution.
+// emulation, trace-JIT, and the JIT stacked on sequence emulation), pinning
+// superblock multi-retire PC attribution.
 
 import (
 	"testing"
@@ -181,7 +181,7 @@ var tierConfigs = []struct {
 	{"interp", func(c *session.Config) {}},
 	{"seqemu", func(c *session.Config) { c.MaxSequenceLen = 16 }},
 	{"jit", func(c *session.Config) { c.JITThreshold = 2 }},
-	{"jit+stitch", func(c *session.Config) { c.JITThreshold = 2; c.StitchDepth = 4 }},
+	{"seqemu+jit", func(c *session.Config) { c.MaxSequenceLen = 16; c.JITThreshold = 2 }},
 }
 
 func build(t *testing.T, src string) *isa.Program {

@@ -20,7 +20,7 @@ var invarianceTiers = []struct {
 	{"interp", func(o *oracle.Options) {}},
 	{"seqemu", func(o *oracle.Options) { o.MaxSequenceLen = 16 }},
 	{"jit", func(o *oracle.Options) { o.JITThreshold = 8 }},
-	{"jit+stitch", func(o *oracle.Options) { o.JITThreshold = 8; o.StitchDepth = 4 }},
+	{"seqemu+jit", func(o *oracle.Options) { o.MaxSequenceLen = 16; o.JITThreshold = 8 }},
 }
 
 func TestSanitizerInvariance(t *testing.T) {

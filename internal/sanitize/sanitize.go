@@ -29,8 +29,8 @@
 // attaching the sanitizer never perturbs architectural results or the
 // deterministic cycle model: sanitizer-on is bit- and cycle-identical to
 // sanitizer-off. The VM feeds per-instruction PC attribution through
-// SetSite from all three retirement paths (trap delivery, sequence
-// coalescing, superblock thunks).
+// SetSite from both retirement paths (a trap delivery's walk through the
+// decode cache, and a superblock re-entry).
 package sanitize
 
 import (
@@ -142,6 +142,9 @@ func (s *Sanitizer) Reset(o Options) {
 // System returns the wrapping arithmetic system to run the guest under.
 // fpvm.Config.Sanitize wires this automatically.
 func (s *Sanitizer) System() arith.System { return system{s} }
+
+// Primary returns the architectural system the wrapper delegates to.
+func (s *Sanitizer) Primary() arith.System { return s.primary }
 
 // SetSite tells the sanitizer which instruction is about to retire, so the
 // Apply calls it observes are attributed to the right PC — including

@@ -2,18 +2,21 @@ package session
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"fpvm/internal/arith"
 	"fpvm/internal/asm"
 	"fpvm/internal/fpvm"
 	"fpvm/internal/isa"
+	"fpvm/internal/workloads"
 )
 
 // sharedHotSrc is the shared-cache workload: two trapping sites per iteration
-// (the inexact divsd and mulsd) so the warm cache publishes a two-entry trace
-// graph the stitch tier can chain, plus enough iterations for a storm-governed
-// tenant to trip its own patches mid-run.
+// (the inexact divsd and mulsd) so the warm cache publishes two entries, plus
+// enough iterations for a storm-governed tenant to trip its own patches
+// mid-run.
 const sharedHotSrc = `
 	mov r0, $0
 loop:
@@ -99,8 +102,9 @@ func TestSharedCacheWarmCheckouts(t *testing.T) {
 // TestSharedCacheIsolationUnderRace is the cross-tenant staleness suite: many
 // pooled tenants share one SBCache over the pointer-identical program while
 // some of them mutate their own side tables mid-run (storm-governor patches)
-// and others chain stitched traces. No tenant's mutation may leak a stale or
-// severed trace into a concurrent tenant — every run's guest-visible output
+// and others coalesce under a shorter trace cap, which keys their traces
+// apart. No tenant's mutation may leak a stale trace into a concurrent
+// tenant, nor a trace cross caps — every run's guest-visible output
 // and retirement count must match the classic reference. Run under -race this
 // is also the data-race gate on the shared cache itself.
 func TestSharedCacheIsolationUnderRace(t *testing.T) {
@@ -116,8 +120,8 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	cache := fpvm.NewSBCache()
 	variants := []Config{base, base, base}
 	variants[0].SBCache = cache // plain warm adopter
-	variants[1].SBCache = cache // stitched adopter
-	variants[1].StitchDepth = 4
+	variants[1].SBCache = cache // coalescing adopter: its own cap, its own key
+	variants[1].MaxSequenceLen = 4
 	variants[2].SBCache = cache // storm tenant: mutates its side table mid-run
 	variants[2].StormThreshold = 4
 
@@ -155,7 +159,49 @@ func TestSharedCacheIsolationUnderRace(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if s := cache.Stats(); s.Programs != 1 || s.Entries == 0 {
+	if s := cache.Stats(); s.Programs != 2 || s.Entries == 0 {
 		t.Fatalf("cache accounting off after race: %+v", s)
+	}
+}
+
+// TestSharedCacheMPFRWarmEqualsCold is the warm-adoption output contract
+// under a system whose boxed values print differently from native doubles.
+// An adopted entry patch is live from the first visit, so it would emulate,
+// and box, visits that a cold run still executes natively. Lorenz then
+// printed "1.0000…0e+00" where the cold run printed "1". Three fresh
+// sessions share one cache here, and each must print exactly what a cold
+// session prints.
+func TestSharedCacheMPFRWarmEqualsCold(t *testing.T) {
+	w, ok := workloads.Get("Lorenz Attractor")
+	if !ok {
+		t.Fatal("Lorenz Attractor workload missing")
+	}
+	prog, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{System: arith.NewMPFR(200), MaxSequenceLen: 16, JITThreshold: 8}
+	cold, err := New().Run(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SBCache = fpvm.NewSBCache()
+	for i := 1; i <= 3; i++ {
+		res, err := New().Run(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Output != cold.Output {
+			got, want := strings.Split(res.Output, "\n"), strings.Split(cold.Output, "\n")
+			for l := range min(len(got), len(want)) {
+				if got[l] != want[l] {
+					t.Fatalf("run %d: line %d prints %q, cold run %q", i, l+1, got[l], want[l])
+				}
+			}
+			t.Fatalf("run %d: %d output lines, cold run %d", i, len(got), len(want))
+		}
+		if res.Machine.SBCompiled != cold.Machine.SBCompiled {
+			t.Fatalf("run %d compiled %d blocks, cold run %d", i, res.Machine.SBCompiled, cold.Machine.SBCompiled)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package workloads
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // cgSource generates a conjugate-gradient solve on a random symmetric
 // diagonally-dominant sparse matrix in CSR form — the NAS CG kernel. The
@@ -23,12 +26,13 @@ func cgSource(n, rowNNZ, iters int, seed uint64) string {
 			}
 			cols[c] = g.float64n() - 0.5
 		}
+		// Sum in ascending column order: map iteration order is random,
+		// and float addition is not associative, so any other order would
+		// change the diagonal — and the program image — between processes.
 		var offSum float64
-		for _, v := range cols {
-			if v < 0 {
-				offSum -= v
-			} else {
-				offSum += v
+		for c := 0; c < n; c++ {
+			if v, ok := cols[c]; ok {
+				offSum += math.Abs(v)
 			}
 		}
 		cols[i] = offSum + 4.0 + g.float64n()

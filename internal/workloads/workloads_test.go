@@ -2,6 +2,9 @@ package workloads
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -118,5 +121,43 @@ func TestWorkloadsUnderVanillaFPVM(t *testing.T) {
 				t.Error("no FP traps recorded")
 			}
 		})
+	}
+}
+
+// imageDigest hashes everything a built program image loads: code, data,
+// the data base and the entry point.
+func imageDigest(t *testing.T, w Workload) string {
+	t.Helper()
+	prog, err := w.Build()
+	if err != nil {
+		t.Fatalf("%s: build: %v", w.Name, err)
+	}
+	h := sha256.New()
+	h.Write(prog.Code)
+	h.Write(prog.Data)
+	binary.Write(h, binary.LittleEndian, [2]uint64{prog.DataBase, prog.Entry})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCGImageDeterministic pins the NAS CG program images to constants. The
+// generator draws each row's off-diagonal entries into a map; summing them in
+// map order made the diagonal, and with it the image, differ from process to
+// process, which a within-process comparison cannot see.
+func TestCGImageDeterministic(t *testing.T) {
+	want := map[string]string{
+		"Class S": "05d4f82ddf62394e45c231469f485f8d75f764286f9dce598e34acfcf4844f27",
+		"Class A": "04e0e775910273331cedda54455026e7047de0de6b4e8fd8c2e6a095571e4ef2",
+	}
+	for _, w := range All() {
+		if w.Name != "NAS CG" {
+			continue
+		}
+		if got := imageDigest(t, w); got != want[w.Specifics] {
+			t.Errorf("NAS CG/%s image digest %s, want %s", w.Specifics, got, want[w.Specifics])
+		}
+		delete(want, w.Specifics)
+	}
+	if len(want) != 0 {
+		t.Errorf("NAS CG configurations missing: %v", want)
 	}
 }
