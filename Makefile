@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDifferentialOracle$$' -fuzztime $(FUZZTIME) ./internal/oracle
 	$(GO) test -run '^$$' -fuzz '^FuzzRawExecution$$' -fuzztime $(FUZZTIME) ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/sanitize
+	$(GO) test -run '^$$' -fuzz '^FuzzMPNat$$' -fuzztime $(FUZZTIME) ./internal/mpnat
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

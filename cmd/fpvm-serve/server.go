@@ -401,13 +401,23 @@ func summarizeSanitize(r *sanitize.Report) *sanitizeSummary {
 	return sum
 }
 
+// maxRunBody caps a /run request body, so one request cannot make the
+// server buffer an unbounded document. Inline assembly is the only large
+// field and real programs are a few kilobytes; a mebibyte leaves two orders
+// of magnitude of headroom.
+const maxRunBody = 1 << 20
+
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody)).Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

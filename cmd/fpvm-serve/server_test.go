@@ -171,6 +171,22 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRunBodyCap pins the request-size bound: a body over maxRunBody is
+// refused with 413 before it is buffered, and one just under it is parsed
+// as usual.
+func TestServeRunBodyCap(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	pad := func(n int) string { return `{"asm":"halt\n` + strings.Repeat(" ", n) + `"}` }
+	code, _, raw := postRun(t, ts, pad(maxRunBody), nil)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(raw, "error") {
+		t.Errorf("oversized body: got %d %s, want 413 with an error field", code, raw)
+	}
+	code, _, raw = postRun(t, ts, pad(maxRunBody-64), nil)
+	if code != http.StatusOK {
+		t.Errorf("body under the cap: got %d %s, want 200", code, raw)
+	}
+}
+
 func TestServeHealthzAndStats(t *testing.T) {
 	_, ts := testServer(t, serverConfig{Workers: 3})
 	resp, err := ts.Client().Get(ts.URL + "/healthz")

@@ -63,10 +63,12 @@ func (s *AdaptiveMPFR) wrap(f *mpfr.Float, prec uint) *adaptVal {
 }
 
 // Apply evaluates op at the operands' maximum precision, escalating on
-// detected cancellation.
-func (s *AdaptiveMPFR) Apply(op Op, args ...Value) Value {
+// detected cancellation. Results carry their own precision, so dst is not
+// recycled.
+func (s *AdaptiveMPFR) Apply(_ Value, op Op, x, y, w Value) Value {
+	args := [...]Value{x, y, w}
 	prec := s.base
-	for _, a := range args {
+	for _, a := range args[:op.Arity()] {
 		if p := s.get(a).prec; p > prec {
 			prec = p
 		}
@@ -111,15 +113,15 @@ func (s *AdaptiveMPFR) Apply(op Op, args ...Value) Value {
 	// All other operations: delegate to a fixed-precision MPFR system at
 	// the inherited precision.
 	inner := &MPFRSystem{prec: prec, rnd: s.rnd}
-	vals := make([]Value, len(args))
-	for i := range args {
-		vals[i] = s.get(args[i]).f
+	var vals [3]Value
+	for i, a := range args[:op.Arity()] {
+		vals[i] = s.get(a).f
 	}
-	return s.wrap(inner.Apply(op, vals...).(*mpfr.Float), prec)
+	return s.wrap(inner.Apply(nil, op, vals[0], vals[1], vals[2]).(*mpfr.Float), prec)
 }
 
 // FromFloat64 promotes at the base precision.
-func (s *AdaptiveMPFR) FromFloat64(v float64) Value {
+func (s *AdaptiveMPFR) FromFloat64(_ Value, v float64) Value {
 	z := mpfr.New(s.base)
 	z.SetFloat64(v, s.rnd)
 	return s.wrap(z, s.base)
@@ -131,7 +133,7 @@ func (s *AdaptiveMPFR) ToFloat64(v Value) float64 {
 }
 
 // FromInt64 promotes an integer at the base precision.
-func (s *AdaptiveMPFR) FromInt64(i int64) Value {
+func (s *AdaptiveMPFR) FromInt64(_ Value, i int64) Value {
 	z := mpfr.New(s.base)
 	z.SetInt64(i, s.rnd)
 	return s.wrap(z, s.base)

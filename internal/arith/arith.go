@@ -10,6 +10,16 @@
 // function pointers), and conversions/comparisons are interface methods.
 // The emulator handles vectors by calling these scalar entry points once
 // per lane, exactly as described in §4.1.
+//
+// Value ownership: every method that produces a Value takes a recyclable
+// destination dst — nil, or a Value the same system produced earlier that
+// nothing references any more (FPVM passes the dead value of the arena cell
+// the result will occupy, or its per-VM promotion scratch). A system whose
+// values are mutable, like MPFR, writes the result into dst and returns it,
+// so the steady-state emulation path allocates nothing; systems with
+// immutable values (Vanilla, posit, interval, the sanitizer) ignore it. A
+// result never aliases an operand, and the caller must not use dst again
+// unless it is the returned Value.
 package arith
 
 import (
@@ -100,13 +110,15 @@ type System interface {
 	// Name identifies the system ("vanilla", "mpfr200", "posit32", ...).
 	Name() string
 
-	// Apply evaluates op on args (len(args) == op.Arity()).
-	Apply(op Op, args ...Value) Value
+	// Apply evaluates op on x, y and w; operands beyond op.Arity() are nil
+	// and ignored. dst is a recyclable destination (see Value ownership).
+	Apply(dst Value, op Op, x, y, w Value) Value
 
-	// Conversions (promotion/demotion).
-	FromFloat64(v float64) Value
+	// Conversions (promotion/demotion). FromFloat64 and FromInt64 take a
+	// recyclable destination like Apply.
+	FromFloat64(dst Value, v float64) Value
 	ToFloat64(v Value) float64
-	FromInt64(i int64) Value
+	FromInt64(dst Value, i int64) Value
 	ToInt64(v Value, rc fpu.RoundingControl) (int64, bool)
 
 	// Comparisons.

@@ -18,7 +18,7 @@ func conformance(t *testing.T, sys System, tol float64) {
 	// Round trips across the IEEE boundary.
 	vals := []float64{0, 1, -1, 0.5, 2, -3.25, 1e10, -1e-10, 1234.5678}
 	for _, v := range vals {
-		got := sys.ToFloat64(sys.FromFloat64(v))
+		got := sys.ToFloat64(sys.FromFloat64(nil, v))
 		if math.Abs(got-v) > tol*math.Max(1, math.Abs(v)) {
 			t.Errorf("%s: FromFloat64→ToFloat64(%v) = %v", sys.Name(), v, got)
 		}
@@ -26,7 +26,7 @@ func conformance(t *testing.T, sys System, tol float64) {
 
 	// Integers.
 	for _, i := range []int64{0, 1, -1, 42, -100, 1 << 20} {
-		v := sys.FromInt64(i)
+		v := sys.FromInt64(nil, i)
 		got, ok := sys.ToInt64(v, fpu.RCNearest)
 		if !ok || got != i {
 			t.Errorf("%s: int round trip %d → %d (%v)", sys.Name(), i, got, ok)
@@ -34,26 +34,26 @@ func conformance(t *testing.T, sys System, tol float64) {
 	}
 
 	// NaN handling.
-	nan := sys.FromFloat64(math.NaN())
+	nan := sys.FromFloat64(nil, math.NaN())
 	if !sys.IsNaN(nan) {
 		t.Errorf("%s: NaN not recognized", sys.Name())
 	}
-	if _, unordered := sys.Compare(nan, sys.FromFloat64(1)); !unordered {
+	if _, unordered := sys.Compare(nan, sys.FromFloat64(nil, 1)); !unordered {
 		t.Errorf("%s: NaN compare should be unordered", sys.Name())
 	}
-	if sys.IsNaN(sys.FromFloat64(1)) {
+	if sys.IsNaN(sys.FromFloat64(nil, 1)) {
 		t.Errorf("%s: 1 is not NaN", sys.Name())
 	}
 
 	// Ordering.
-	a, b := sys.FromFloat64(1.5), sys.FromFloat64(2.5)
+	a, b := sys.FromFloat64(nil, 1.5), sys.FromFloat64(nil, 2.5)
 	if ord, un := sys.Compare(a, b); un || ord != -1 {
 		t.Errorf("%s: 1.5 < 2.5 gave %d,%v", sys.Name(), ord, un)
 	}
 	if ord, _ := sys.Compare(b, a); ord != 1 {
 		t.Errorf("%s: 2.5 > 1.5 failed", sys.Name())
 	}
-	if ord, _ := sys.Compare(a, sys.FromFloat64(1.5)); ord != 0 {
+	if ord, _ := sys.Compare(a, sys.FromFloat64(nil, 1.5)); ord != 0 {
 		t.Errorf("%s: equality failed", sys.Name())
 	}
 
@@ -95,12 +95,12 @@ func conformance(t *testing.T, sys System, tol float64) {
 	for _, c := range checks {
 		args := make([]Value, len(c.args))
 		for i, v := range c.args {
-			args[i] = sys.FromFloat64(v)
+			args[i] = sys.FromFloat64(nil, v)
 		}
 		if len(args) != c.op.Arity() {
 			t.Fatalf("%s: test arity mismatch for %v", sys.Name(), c.op)
 		}
-		got := sys.ToFloat64(sys.Apply(c.op, args...))
+		got := sys.ToFloat64(applySlice(sys, c.op, args))
 		if math.Abs(got-c.want) > tol*math.Max(1, math.Abs(c.want)) {
 			t.Errorf("%s: %v%v = %v, want %v", sys.Name(), c.op, c.args, got, c.want)
 		}
@@ -110,7 +110,7 @@ func conformance(t *testing.T, sys System, tol float64) {
 	}
 
 	// Format never returns empty.
-	if sys.Format(sys.FromFloat64(1.25)) == "" {
+	if sys.Format(sys.FromFloat64(nil, 1.25)) == "" {
 		t.Errorf("%s: empty Format", sys.Name())
 	}
 	if sys.Name() == "" {
@@ -134,12 +134,12 @@ func TestVanillaExactIEEE(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			continue
 		}
-		got := sys.ToFloat64(sys.Apply(OpAdd, a, b))
+		got := sys.ToFloat64(sys.Apply(nil, OpAdd, a, b, nil))
 		want := a + b
 		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("add(%v,%v) = %v want %v", a, b, got, want)
 		}
-		got = sys.ToFloat64(sys.Apply(OpMul, a, b))
+		got = sys.ToFloat64(sys.Apply(nil, OpMul, a, b, nil))
 		want = a * b
 		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("mul mismatch")
@@ -150,16 +150,16 @@ func TestVanillaExactIEEE(t *testing.T) {
 // TestMPFRBeatsDouble: at 200 bits, (1 + 2^-100) - 1 survives.
 func TestMPFRBeatsDouble(t *testing.T) {
 	sys := NewMPFR(200)
-	one := sys.FromFloat64(1)
-	tiny := sys.Apply(OpDiv, sys.FromFloat64(1), sys.Apply(OpPow, sys.FromFloat64(2), sys.FromFloat64(100)))
-	sum := sys.Apply(OpAdd, one, tiny)
-	diff := sys.Apply(OpSub, sum, one)
+	one := sys.FromFloat64(nil, 1)
+	tiny := sys.Apply(nil, OpDiv, sys.FromFloat64(nil, 1), sys.Apply(nil, OpPow, sys.FromFloat64(nil, 2), sys.FromFloat64(nil, 100), nil), nil)
+	sum := sys.Apply(nil, OpAdd, one, tiny, nil)
+	diff := sys.Apply(nil, OpSub, sum, one, nil)
 	if sys.ToFloat64(diff) == 0 {
 		t.Fatal("200-bit arithmetic lost 2^-100")
 	}
 	// The same computation in Vanilla loses it.
 	v := Vanilla{}
-	vd := v.Apply(OpSub, v.Apply(OpAdd, 1.0, math.Exp2(-100)), 1.0)
+	vd := v.Apply(nil, OpSub, v.Apply(nil, OpAdd, 1.0, math.Exp2(-100), nil), 1.0, nil)
 	if v.ToFloat64(vd) != 0 {
 		t.Fatal("vanilla should lose 2^-100 (it is IEEE double)")
 	}
@@ -168,13 +168,13 @@ func TestMPFRBeatsDouble(t *testing.T) {
 // TestPositMinMaxSemantics: x64-style NaN propagation through min/max.
 func TestMinMaxNaNAcrossSystems(t *testing.T) {
 	for _, sys := range []System{Vanilla{}, NewMPFR(64), NewPosit(posit.Posit32)} {
-		nan := sys.FromFloat64(math.NaN())
-		five := sys.FromFloat64(5)
+		nan := sys.FromFloat64(nil, math.NaN())
+		five := sys.FromFloat64(nil, 5)
 		// x64: min(NaN, x) = x (second operand).
-		if got := sys.ToFloat64(sys.Apply(OpMin, nan, five)); got != 5 {
+		if got := sys.ToFloat64(sys.Apply(nil, OpMin, nan, five, nil)); got != 5 {
 			t.Errorf("%s: min(NaN,5) = %v", sys.Name(), got)
 		}
-		if got := sys.Apply(OpMax, five, nan); !sys.IsNaN(got) {
+		if got := sys.Apply(nil, OpMax, five, nan, nil); !sys.IsNaN(got) {
 			t.Errorf("%s: max(5,NaN) should be NaN", sys.Name())
 		}
 	}
@@ -183,7 +183,7 @@ func TestMinMaxNaNAcrossSystems(t *testing.T) {
 // TestToInt64RoundingControls across systems.
 func TestToInt64RoundingControls(t *testing.T) {
 	for _, sys := range []System{Vanilla{}, NewMPFR(64), NewPosit(posit.Posit32)} {
-		v := sys.FromFloat64(-2.5)
+		v := sys.FromFloat64(nil, -2.5)
 		if got, ok := sys.ToInt64(v, fpu.RCZero); !ok || got != -2 {
 			t.Errorf("%s: RTZ(-2.5) = %d", sys.Name(), got)
 		}
@@ -196,7 +196,7 @@ func TestToInt64RoundingControls(t *testing.T) {
 		if got, ok := sys.ToInt64(v, fpu.RCNearest); !ok || got != -2 {
 			t.Errorf("%s: RNE(-2.5) = %d (ties to even)", sys.Name(), got)
 		}
-		nan := sys.FromFloat64(math.NaN())
+		nan := sys.FromFloat64(nil, math.NaN())
 		if _, ok := sys.ToInt64(nan, fpu.RCNearest); ok {
 			t.Errorf("%s: ToInt64(NaN) should fail", sys.Name())
 		}
@@ -237,14 +237,21 @@ func TestMPFRvsVanillaAgreementAt53(t *testing.T) {
 		var mv, vv float64
 		if op.Arity() == 1 {
 			a = math.Abs(a)
-			mv = m.ToFloat64(m.Apply(op, m.FromFloat64(a)))
-			vv = v.ToFloat64(v.Apply(op, v.FromFloat64(a)))
+			mv = m.ToFloat64(m.Apply(nil, op, m.FromFloat64(nil, a), nil, nil))
+			vv = v.ToFloat64(v.Apply(nil, op, v.FromFloat64(nil, a), nil, nil))
 		} else {
-			mv = m.ToFloat64(m.Apply(op, m.FromFloat64(a), m.FromFloat64(b)))
-			vv = v.ToFloat64(v.Apply(op, v.FromFloat64(a), v.FromFloat64(b)))
+			mv = m.ToFloat64(m.Apply(nil, op, m.FromFloat64(nil, a), m.FromFloat64(nil, b), nil))
+			vv = v.ToFloat64(v.Apply(nil, op, v.FromFloat64(nil, a), v.FromFloat64(nil, b), nil))
 		}
 		if math.Float64bits(mv) != math.Float64bits(vv) {
 			t.Fatalf("%v(%v, %v): mpfr53 %v != vanilla %v", op, a, b, mv, vv)
 		}
 	}
+}
+
+// applySlice applies op to an operand slice of any length up to three.
+func applySlice(sys System, op Op, args []Value) Value {
+	var a [3]Value
+	copy(a[:], args)
+	return sys.Apply(nil, op, a[0], a[1], a[2])
 }

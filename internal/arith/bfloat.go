@@ -44,21 +44,18 @@ func roundBF16(v float64) float64 {
 func bf(v Value) float64 { return v.(float64) }
 
 // Apply computes in double and rounds once to bfloat16.
-func (s BFloat16System) Apply(op Op, args ...Value) Value {
-	van := Vanilla{}
-	exactArgs := make([]Value, len(args))
-	copy(exactArgs, args)
-	return roundBF16(van.Apply(op, exactArgs...).(float64))
+func (s BFloat16System) Apply(_ Value, op Op, x, y, w Value) Value {
+	return roundBF16(Vanilla{}.Apply(nil, op, x, y, w).(float64))
 }
 
 // FromFloat64 promotes (i.e. rounds to the bfloat16 lattice).
-func (BFloat16System) FromFloat64(v float64) Value { return roundBF16(v) }
+func (BFloat16System) FromFloat64(_ Value, v float64) Value { return roundBF16(v) }
 
 // ToFloat64 demotes (bfloat16 values are exactly representable as doubles).
 func (BFloat16System) ToFloat64(v Value) float64 { return bf(v) }
 
 // FromInt64 converts an integer (rounding to 8 mantissa bits).
-func (BFloat16System) FromInt64(i int64) Value { return roundBF16(float64(i)) }
+func (BFloat16System) FromInt64(_ Value, i int64) Value { return roundBF16(float64(i)) }
 
 // ToInt64 converts with the given rounding control.
 func (BFloat16System) ToInt64(v Value, rc fpu.RoundingControl) (int64, bool) {

@@ -142,9 +142,9 @@ func TestVanillaConformsBitExact(t *testing.T) {
 		for _, args := range argTuples(op.Arity()) {
 			vals := make([]Value, len(args))
 			for i, a := range args {
-				vals[i] = sys.FromFloat64(a)
+				vals[i] = sys.FromFloat64(nil, a)
 			}
-			got := math.Float64bits(sys.ToFloat64(sys.Apply(op, vals...)))
+			got := math.Float64bits(sys.ToFloat64(applySlice(sys, op, vals)))
 			want := math.Float64bits(fpuRef(op, args))
 			if got != want {
 				t.Fatalf("vanilla %s(%v): got %#016x (%v), fpu %#016x (%v)",
@@ -197,12 +197,12 @@ func TestAllSystemsConformance(t *testing.T) {
 					vals := make([]Value, len(args))
 					anyNaN := false
 					for i, a := range args {
-						vals[i] = sys.FromFloat64(a)
+						vals[i] = sys.FromFloat64(nil, a)
 						if math.IsNaN(a) {
 							anyNaN = true
 						}
 					}
-					res := sys.Apply(op, vals...) // property 1: must not panic
+					res := applySlice(sys, op, vals) // property 1: must not panic
 					back := sys.ToFloat64(res)
 					if s := sys.Format(res); s == "" {
 						t.Fatalf("%s(%v): empty Format", op, args)
@@ -329,29 +329,29 @@ func TestConversionAndCompareConformance(t *testing.T) {
 			// every format in the tree, including bfloat16's 8-bit
 			// mantissa).
 			for _, i := range []int64{0, 1, -1, 2, 7, -13, 100, -128} {
-				v := sys.FromInt64(i)
+				v := sys.FromInt64(nil, i)
 				got, ok := sys.ToInt64(v, fpu.RCNearest)
 				if !ok || got != i {
 					t.Errorf("ToInt64(FromInt64(%d)) = %d, ok=%v", i, got, ok)
 				}
 			}
 			// ToInt64 on NaN must report failure.
-			if _, ok := sys.ToInt64(sys.FromFloat64(math.NaN()), fpu.RCNearest); ok {
+			if _, ok := sys.ToInt64(sys.FromFloat64(nil, math.NaN()), fpu.RCNearest); ok {
 				t.Errorf("ToInt64(NaN) reported success")
 			}
 			// Ordering.
-			one, two := sys.FromFloat64(1), sys.FromFloat64(2)
+			one, two := sys.FromFloat64(nil, 1), sys.FromFloat64(nil, 2)
 			if ord, un := sys.Compare(one, two); un || ord >= 0 {
 				t.Errorf("Compare(1,2) = %d unordered=%v", ord, un)
 			}
 			if ord, un := sys.Compare(two, one); un || ord <= 0 {
 				t.Errorf("Compare(2,1) = %d unordered=%v", ord, un)
 			}
-			if ord, un := sys.Compare(one, sys.FromFloat64(1)); un || ord != 0 {
+			if ord, un := sys.Compare(one, sys.FromFloat64(nil, 1)); un || ord != 0 {
 				t.Errorf("Compare(1,1) = %d unordered=%v", ord, un)
 			}
 			// NaN is unordered against everything, including itself.
-			nan := sys.FromFloat64(math.NaN())
+			nan := sys.FromFloat64(nil, math.NaN())
 			if _, un := sys.Compare(nan, one); !un {
 				t.Errorf("Compare(NaN,1) not unordered")
 			}

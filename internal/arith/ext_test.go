@@ -16,10 +16,10 @@ func TestAdaptiveConformance(t *testing.T) {
 func TestAdaptiveEscalatesOnCancellation(t *testing.T) {
 	s := NewAdaptiveMPFR(64, 1024)
 	// (1 + 2^-40) - 1: loses 40 leading bits → escalation.
-	one := s.FromFloat64(1)
-	tiny := s.FromFloat64(math.Exp2(-40))
-	sum := s.Apply(OpAdd, one, tiny)
-	diff := s.Apply(OpSub, sum, one)
+	one := s.FromFloat64(nil, 1)
+	tiny := s.FromFloat64(nil, math.Exp2(-40))
+	sum := s.Apply(nil, OpAdd, one, tiny, nil)
+	diff := s.Apply(nil, OpSub, sum, one, nil)
 	if s.Escalations == 0 {
 		t.Fatal("no escalation recorded on catastrophic cancellation")
 	}
@@ -33,9 +33,9 @@ func TestAdaptiveEscalatesOnCancellation(t *testing.T) {
 
 func TestAdaptiveNoEscalationWhenWellConditioned(t *testing.T) {
 	s := NewAdaptiveMPFR(64, 1024)
-	a, b := s.FromFloat64(3.5), s.FromFloat64(2.25)
+	a, b := s.FromFloat64(nil, 3.5), s.FromFloat64(nil, 2.25)
 	for i := 0; i < 100; i++ {
-		a = s.Apply(OpAdd, a, b)
+		a = s.Apply(nil, OpAdd, a, b, nil)
 	}
 	if s.Escalations != 0 {
 		t.Fatalf("well-conditioned sums escalated %d times", s.Escalations)
@@ -47,12 +47,12 @@ func TestAdaptiveNoEscalationWhenWellConditioned(t *testing.T) {
 
 func TestAdaptiveCeiling(t *testing.T) {
 	s := NewAdaptiveMPFR(64, 128)
-	v := s.FromFloat64(1)
+	v := s.FromFloat64(nil, 1)
 	for i := 0; i < 10; i++ {
-		tiny := s.FromFloat64(math.Exp2(-40))
-		sum := s.Apply(OpAdd, v, tiny)
-		v = s.Apply(OpSub, sum, s.FromFloat64(1))
-		v = s.Apply(OpAdd, s.FromFloat64(1), Value(v))
+		tiny := s.FromFloat64(nil, math.Exp2(-40))
+		sum := s.Apply(nil, OpAdd, v, tiny, nil)
+		v = s.Apply(nil, OpSub, sum, s.FromFloat64(nil, 1), nil)
+		v = s.Apply(nil, OpAdd, s.FromFloat64(nil, 1), Value(v), nil)
 	}
 	// Precision must never exceed the ceiling.
 	if got := s.PrecOf(v); got > 128 {
@@ -62,11 +62,11 @@ func TestAdaptiveCeiling(t *testing.T) {
 
 func TestAdaptivePrecisionPropagates(t *testing.T) {
 	s := NewAdaptiveMPFR(64, 2048)
-	one := s.FromFloat64(1)
-	tiny := s.FromFloat64(math.Exp2(-40))
-	diff := s.Apply(OpSub, s.Apply(OpAdd, one, tiny), one) // escalated
+	one := s.FromFloat64(nil, 1)
+	tiny := s.FromFloat64(nil, math.Exp2(-40))
+	diff := s.Apply(nil, OpSub, s.Apply(nil, OpAdd, one, tiny, nil), one, nil) // escalated
 	hi := s.PrecOf(diff)
-	prod := s.Apply(OpMul, diff, s.FromFloat64(3))
+	prod := s.Apply(nil, OpMul, diff, s.FromFloat64(nil, 3), nil)
 	if s.PrecOf(prod) != hi {
 		t.Fatalf("escalated precision did not propagate: %d → %d", hi, s.PrecOf(prod))
 	}
@@ -88,21 +88,21 @@ func TestIntervalContainment(t *testing.T) {
 	ops := []Op{OpAdd, OpSub, OpMul, OpDiv, OpSqrt, OpExp, OpLog, OpSin, OpCos, OpAtan}
 	for trial := 0; trial < 300; trial++ {
 		x := r.Float64()*4 + 0.5
-		ivVal := s.FromFloat64(x)
-		mpVal := m.FromFloat64(x)
+		ivVal := s.FromFloat64(nil, x)
+		mpVal := m.FromFloat64(nil, x)
 		for step := 0; step < 12; step++ {
 			op := ops[r.Intn(len(ops))]
 			if op.Arity() == 2 {
 				y := r.Float64()*2 + 0.25
-				ivVal = s.Apply(op, ivVal, s.FromFloat64(y))
-				mpVal = m.Apply(op, mpVal, m.FromFloat64(y))
+				ivVal = s.Apply(nil, op, ivVal, s.FromFloat64(nil, y), nil)
+				mpVal = m.Apply(nil, op, mpVal, m.FromFloat64(nil, y), nil)
 			} else {
 				// Keep log/sqrt in-domain.
 				if mid := s.ToFloat64(ivVal); (op == OpLog || op == OpSqrt) && mid <= 0 {
 					continue
 				}
-				ivVal = s.Apply(op, ivVal)
-				mpVal = m.Apply(op, mpVal)
+				ivVal = s.Apply(nil, op, ivVal, nil, nil)
+				mpVal = m.Apply(nil, op, mpVal, nil, nil)
 			}
 			// Keep magnitudes sane.
 			if math.Abs(s.ToFloat64(ivVal)) > 1e6 {
@@ -123,10 +123,10 @@ func TestIntervalContainment(t *testing.T) {
 
 func TestIntervalWidthGrows(t *testing.T) {
 	s := IntervalSystem{}
-	v := s.FromFloat64(1)
-	third := s.Apply(OpDiv, s.FromFloat64(1), s.FromFloat64(3))
+	v := s.FromFloat64(nil, 1)
+	third := s.Apply(nil, OpDiv, s.FromFloat64(nil, 1), s.FromFloat64(nil, 3), nil)
 	for i := 0; i < 1000; i++ {
-		v = s.Apply(OpAdd, v, third)
+		v = s.Apply(nil, OpAdd, v, third, nil)
 	}
 	w := v.(Interval).Width()
 	if w <= 0 {
@@ -140,7 +140,7 @@ func TestIntervalWidthGrows(t *testing.T) {
 func TestIntervalDivisionByZeroSpan(t *testing.T) {
 	s := IntervalSystem{}
 	wide := Interval{-1, 1}
-	q := s.Apply(OpDiv, s.FromFloat64(1), Value(wide)).(Interval)
+	q := s.Apply(nil, OpDiv, s.FromFloat64(nil, 1), Value(wide), nil).(Interval)
 	if !math.IsInf(q.Lo, -1) || !math.IsInf(q.Hi, 1) {
 		t.Fatalf("1/[-1,1] = %v, want whole line", q)
 	}
@@ -150,7 +150,7 @@ func TestIntervalTrigBounds(t *testing.T) {
 	s := IntervalSystem{}
 	// An interval spanning the sin maximum must contain 1.
 	x := Interval{1.4, 1.8} // spans π/2
-	r := s.Apply(OpSin, Value(x)).(Interval)
+	r := s.Apply(nil, OpSin, Value(x), nil, nil).(Interval)
 	if r.Hi < 1 {
 		t.Fatalf("sin([1.4,1.8]).Hi = %g, must reach 1", r.Hi)
 	}
@@ -158,7 +158,7 @@ func TestIntervalTrigBounds(t *testing.T) {
 		t.Fatal("lower bound must cover endpoint values")
 	}
 	// Intervals wider than π cover [-1, 1].
-	wide := s.Apply(OpCos, Value(Interval{0, 10})).(Interval)
+	wide := s.Apply(nil, OpCos, Value(Interval{0, 10}), nil, nil).(Interval)
 	if wide.Lo != -1 || wide.Hi != 1 {
 		t.Fatalf("cos of wide interval = %v", wide)
 	}
@@ -166,7 +166,7 @@ func TestIntervalTrigBounds(t *testing.T) {
 
 func TestIntervalFormat(t *testing.T) {
 	s := IntervalSystem{}
-	if got := s.Format(s.FromFloat64(2.5)); got != "2.5" {
+	if got := s.Format(s.FromFloat64(nil, 2.5)); got != "2.5" {
 		t.Errorf("point format %q", got)
 	}
 	w := s.Format(Value(Interval{1, 2}))
@@ -230,10 +230,10 @@ func TestBFloat16IdempotentRounding(t *testing.T) {
 func TestBFloat16LosesPrecisionVsDouble(t *testing.T) {
 	s := BFloat16System{}
 	// Summing 0.1 256 times drifts visibly at 8 mantissa bits.
-	acc := s.FromFloat64(0)
-	tenth := s.FromFloat64(0.1)
+	acc := s.FromFloat64(nil, 0)
+	tenth := s.FromFloat64(nil, 0.1)
 	for i := 0; i < 256; i++ {
-		acc = s.Apply(OpAdd, acc, tenth)
+		acc = s.Apply(nil, OpAdd, acc, tenth, nil)
 	}
 	got := s.ToFloat64(acc)
 	if math.Abs(got-25.6) < 0.01 {

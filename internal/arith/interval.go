@@ -89,9 +89,10 @@ func minMax4(a, b, c, d float64) (float64, float64) {
 }
 
 // Apply evaluates op on interval operands with outward rounding.
-func (s IntervalSystem) Apply(op Op, args ...Value) Value {
+func (s IntervalSystem) Apply(_ Value, op Op, x0, x1, x2 Value) Value {
+	args := [...]Value{x0, x1, x2}
 	a := func(i int) Interval { return iv(args[i]) }
-	for i := range args {
+	for i := 0; i < op.Arity(); i++ {
 		if iv(args[i]).isNaN() {
 			return point(math.NaN())
 		}
@@ -129,8 +130,8 @@ func (s IntervalSystem) Apply(op Op, args ...Value) Value {
 		}
 		return outward(math.Sqrt(lo), math.Sqrt(x.Hi))
 	case OpFMA:
-		p := s.Apply(OpMul, args[0], args[1])
-		return s.Apply(OpAdd, p, args[2])
+		p := s.Apply(nil, OpMul, x0, x1, nil)
+		return s.Apply(nil, OpAdd, p, x2, nil)
 	case OpMin:
 		x, y := a(0), a(1)
 		return exact(math.Min(x.Lo, y.Lo), math.Min(x.Hi, y.Hi))
@@ -200,9 +201,9 @@ func (s IntervalSystem) Apply(op Op, args ...Value) Value {
 				return outward(math.Pow(x.Lo, y.Lo), math.Pow(x.Lo, y.Lo))
 			}
 		}
-		lx := s.Apply(OpLog, args[0])
-		prod := s.Apply(OpMul, lx, Value(y))
-		return s.Apply(OpExp, prod)
+		lx := s.Apply(nil, OpLog, x0, nil, nil)
+		prod := s.Apply(nil, OpMul, lx, Value(y), nil)
+		return s.Apply(nil, OpExp, prod, nil, nil)
 	case OpMod:
 		// Width-preserving only for point intervals; otherwise conservative.
 		x, y := a(0), a(1)
@@ -213,7 +214,7 @@ func (s IntervalSystem) Apply(op Op, args ...Value) Value {
 		return exact(-m, m)
 	case OpHypot:
 		x, y := a(0), a(1)
-		ax, ay := iv(s.Apply(OpAbs, x)), iv(s.Apply(OpAbs, y))
+		ax, ay := iv(s.Apply(nil, OpAbs, x, nil, nil)), iv(s.Apply(nil, OpAbs, y, nil, nil))
 		return outward(math.Hypot(ax.Lo, ay.Lo), math.Hypot(ax.Hi, ay.Hi))
 	case OpFloor:
 		x := a(0)
@@ -279,13 +280,13 @@ func clampTo(x Interval, lo, hi float64) Interval {
 }
 
 // FromFloat64 promotes to a degenerate (exact) interval.
-func (IntervalSystem) FromFloat64(v float64) Value { return point(v) }
+func (IntervalSystem) FromFloat64(_ Value, v float64) Value { return point(v) }
 
 // ToFloat64 demotes to the interval midpoint.
 func (IntervalSystem) ToFloat64(v Value) float64 { return iv(v).mid() }
 
 // FromInt64 promotes an integer (exact for |i| < 2^53).
-func (IntervalSystem) FromInt64(i int64) Value {
+func (IntervalSystem) FromInt64(_ Value, i int64) Value {
 	f := float64(i)
 	if int64(f) == i {
 		return point(f)

@@ -32,11 +32,21 @@ func (s *MPFRSystem) Prec() uint { return s.prec }
 
 func (s *MPFRSystem) get(v Value) *mpfr.Float { return v.(*mpfr.Float) }
 
-func (s *MPFRSystem) new() *mpfr.Float { return mpfr.New(s.prec) }
+// dest returns the Float a result is written into: the recyclable
+// destination when it is one of this system's values, a new Float
+// otherwise (nil, another system's value, or another precision).
+func (s *MPFRSystem) dest(dst Value) *mpfr.Float {
+	if z, ok := dst.(*mpfr.Float); ok && z.Prec() == s.prec {
+		return z
+	}
+	return mpfr.New(s.prec)
+}
 
-// Apply evaluates op at the configured precision.
-func (s *MPFRSystem) Apply(op Op, args ...Value) Value {
-	z := s.new()
+// Apply evaluates op at the configured precision, writing the result into
+// dst when it can be recycled.
+func (s *MPFRSystem) Apply(dst Value, op Op, x, y, w Value) Value {
+	z := s.dest(dst)
+	args := [...]Value{x, y, w}
 	a := func(i int) *mpfr.Float { return s.get(args[i]) }
 	switch op {
 	case OpAdd:
@@ -129,8 +139,8 @@ func (s *MPFRSystem) mod(z, a, b *mpfr.Float) {
 }
 
 // FromFloat64 promotes an IEEE double exactly (prec >= 53 loses nothing).
-func (s *MPFRSystem) FromFloat64(v float64) Value {
-	z := s.new()
+func (s *MPFRSystem) FromFloat64(dst Value, v float64) Value {
+	z := s.dest(dst)
 	z.SetFloat64(v, s.rnd)
 	return z
 }
@@ -141,8 +151,8 @@ func (s *MPFRSystem) ToFloat64(v Value) float64 {
 }
 
 // FromInt64 promotes an integer.
-func (s *MPFRSystem) FromInt64(i int64) Value {
-	z := s.new()
+func (s *MPFRSystem) FromInt64(dst Value, i int64) Value {
+	z := s.dest(dst)
 	z.SetInt64(i, s.rnd)
 	return z
 }

@@ -43,8 +43,9 @@ func (s *PositSystem) Config() posit.Config { return s.cfg }
 func (s *PositSystem) get(v Value) posit.Posit { return v.(posit.Posit) }
 
 // Apply evaluates op on posit operands.
-func (s *PositSystem) Apply(op Op, args ...Value) Value {
+func (s *PositSystem) Apply(_ Value, op Op, x, y, w Value) Value {
 	c := s.cfg
+	args := [...]Value{x, y, w}
 	a := func(i int) posit.Posit { return s.get(args[i]) }
 	switch op {
 	case OpAdd:
@@ -157,13 +158,13 @@ func (s *PositSystem) binaryViaMPFR(op Op, p, q posit.Posit) posit.Posit {
 }
 
 // FromFloat64 promotes (rounds) an IEEE double to the posit lattice.
-func (s *PositSystem) FromFloat64(v float64) Value { return s.cfg.FromFloat64(v) }
+func (s *PositSystem) FromFloat64(_ Value, v float64) Value { return s.cfg.FromFloat64(v) }
 
 // ToFloat64 demotes to the nearest IEEE double.
 func (s *PositSystem) ToFloat64(v Value) float64 { return s.cfg.ToFloat64(s.get(v)) }
 
 // FromInt64 promotes an integer.
-func (s *PositSystem) FromInt64(i int64) Value {
+func (s *PositSystem) FromInt64(_ Value, i int64) Value {
 	f := mpfr.New(66)
 	f.SetInt64(i, mpfr.RoundNearestEven)
 	return s.cfg.FromMPFR(f, false)

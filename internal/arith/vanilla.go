@@ -24,7 +24,8 @@ func (Vanilla) Name() string { return "vanilla" }
 // construction, NaN payloads included: the differential oracle caught Go's
 // math package producing a different quiet-NaN payload (0x7FF8…001) than
 // the x64 indefinite QNaN the machine propagates.
-func (Vanilla) Apply(op Op, args ...Value) Value {
+func (Vanilla) Apply(_ Value, op Op, x, y, w Value) Value {
+	args := [...]Value{x, y, w}
 	a := func(i int) float64 { return args[i].(float64) }
 	var r fpu.Result
 	switch op {
@@ -91,13 +92,13 @@ func (Vanilla) Apply(op Op, args ...Value) Value {
 }
 
 // FromFloat64 promotes an IEEE double (identity for Vanilla).
-func (Vanilla) FromFloat64(v float64) Value { return v }
+func (Vanilla) FromFloat64(_ Value, v float64) Value { return v }
 
 // ToFloat64 demotes to an IEEE double (identity for Vanilla).
 func (Vanilla) ToFloat64(v Value) float64 { return v.(float64) }
 
 // FromInt64 converts an integer.
-func (Vanilla) FromInt64(i int64) Value { return float64(i) }
+func (Vanilla) FromInt64(_ Value, i int64) Value { return float64(i) }
 
 // ToInt64 converts to an integer with x64 cvtsd2si semantics.
 func (Vanilla) ToInt64(v Value, rc fpu.RoundingControl) (int64, bool) {

@@ -8,11 +8,22 @@ import "fpvm/internal/arith"
 // variant its footnote 4 describes for platforms without pointer-sized
 // payloads, and it gives the garbage collector its "simple data structure
 // alongside a marked bit" (§4.1).
+//
+// Under a recycling arithmetic system (see Reset) a cell's value outlives
+// the cell: Sweep retires a cell without dropping its value, and the next
+// Alloc of that slot hands the dead value back as a recyclable destination
+// (see arith.Value ownership), so an MPFR result is written into the
+// mantissa storage of the shadow it replaces instead of a fresh allocation.
+// Reset carries the first retainCells values over to the next session.
+// Otherwise retired values are dropped, as a dead value would only pin
+// memory.
 type Arena struct {
-	vals   []arith.Value
-	inUse  []bool
-	marked []bool
-	free   []uint64
+	vals    []arith.Value
+	recycle bool // retired cells keep their values for reuse
+	kept    int  // slots [0, kept) may hold values carried over by Reset
+	inUse   []bool
+	marked  []bool
+	free    []uint64
 
 	allocs    uint64 // lifetime allocations
 	reuses    uint64 // allocations served from the free list
@@ -23,14 +34,31 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
+// retainCells bounds the dead values a recycling arena carries across Reset
+// (about 6 MiB of MPFR-200 shadows). A pooled session running ordinary
+// programs recycles every cell from run to run, while one huge program
+// cannot make an idle session pin its whole high water: live memory the Go
+// collector must carry, and that raises its heap goal, for nothing.
+const retainCells = 1 << 16
+
 // Reset empties the arena while retaining the slot table's capacity: after
 // Reset, Live() == 0, every counter is zero, and the next Alloc hands out
 // key 0 — the exact key sequence a fresh arena produces, so a pooled
-// session's NaN-box patterns are bit-identical to a fresh session's. Value
-// references are dropped so the Go GC can reclaim the previous session's
-// shadows; the backing arrays are kept for reuse.
-func (a *Arena) Reset() {
-	clear(a.vals) // release shadow-value references
+// session's NaN-box patterns are bit-identical to a fresh session's.
+// recycle says whether the coming session's system writes results into
+// recyclable destinations. If it does, the values of the first retainCells
+// slots stay in the table, dead, as destinations for the new session; all
+// others are dropped so the Go GC can reclaim them.
+func (a *Arena) Reset(recycle bool) {
+	keep := 0
+	if recycle {
+		keep = retainCells
+	}
+	if end := max(len(a.vals), a.kept); keep < end {
+		clear(a.vals[keep:end])
+	}
+	a.kept = min(max(len(a.vals), a.kept), keep)
+	a.recycle = recycle
 	a.vals = a.vals[:0]
 	a.inUse = a.inUse[:0]
 	a.marked = a.marked[:0]
@@ -41,8 +69,12 @@ func (a *Arena) Reset() {
 	a.highWater = 0
 }
 
-// Alloc stores v and returns its key.
-func (a *Arena) Alloc(v arith.Value) uint64 {
+// Alloc reserves a cell and returns its key together with the cell's dead
+// previous value (nil for a slot never used), which the caller may recycle
+// as the destination of the result it then stores with Set. Keys come from
+// the free list first, most recently freed first, then from the end of the
+// table.
+func (a *Arena) Alloc() (key uint64, spare arith.Value) {
 	a.allocs++
 	a.live++
 	if a.live > a.highWater {
@@ -52,15 +84,22 @@ func (a *Arena) Alloc(v arith.Value) uint64 {
 		a.reuses++
 		k := a.free[n-1]
 		a.free = a.free[:n-1]
-		a.vals[k] = v
 		a.inUse[k] = true
-		return k
+		return k, a.vals[k]
 	}
-	a.vals = append(a.vals, v)
+	k := len(a.vals)
+	if k < cap(a.vals) {
+		a.vals = a.vals[:k+1] // a slot retired by Reset: its value is dead
+	} else {
+		a.vals = append(a.vals, nil)
+	}
 	a.inUse = append(a.inUse, true)
 	a.marked = append(a.marked, false)
-	return uint64(len(a.vals) - 1)
+	return uint64(k), a.vals[k]
 }
+
+// Set stores v in the cell key, which Alloc reserved.
+func (a *Arena) Set(key uint64, v arith.Value) { a.vals[key] = v }
 
 // Get returns the shadow value for key, if allocated.
 func (a *Arena) Get(key uint64) (arith.Value, bool) {
@@ -108,8 +147,10 @@ func (a *Arena) Sweep() (freed, alive int) {
 			alive++
 			continue
 		}
-		a.vals[k] = nil
 		a.inUse[k] = false
+		if !a.recycle {
+			a.vals[k] = nil // a recycling arena keeps it for the slot's next Alloc
+		}
 		a.free = append(a.free, uint64(k))
 		freed++
 	}

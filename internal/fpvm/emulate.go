@@ -50,32 +50,48 @@ func (vm *VM) runArith(m *machine.Machine, d *decodedInst) error {
 	// also a source for binary ops — untouched for the degradation
 	// engine's native re-execution.
 	var results [2]uint64
-	for lane := 0; lane < d.lanes; lane++ {
-		// The per-VM scratch buffer keeps the hot path allocation-free
-		// (the seed allocated a fresh []arith.Value per lane per trap).
-		args := vm.scratch[:len(d.srcs)]
-		for i, s := range d.srcs {
-			bits, err := vm.readFP(m, s, lane)
-			if err != nil {
-				return err
-			}
-			args[i] = vm.value(bits)
-		}
-		res := vm.Sys.Apply(d.aop, args...)
-		vm.Stats.Emulated++
-		opCycles := vm.Sys.OpCycles(d.aop)
-		vm.Stats.Cycles.Emulate += opCycles
-		m.Cycles += opCycles
-		bits, err := vm.boxResult(res)
-		if err != nil {
-			return err
-		}
-		results[lane] = bits
+	err := vm.computeLanes(m, d, &results)
+	vm.nroots = 0
+	if err != nil {
+		return err
 	}
 	for lane := 0; lane < d.lanes; lane++ {
 		if err := m.WriteOperandFP(d.dst, lane, results[lane]); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// computeLanes computes an arithmetic instruction's lane results into arena
+// cells and their boxes into results. Each finished lane's key is rooted
+// (vm.roots) until runArith writes the boxes back, so a collection that a
+// later lane's allocation triggers cannot sweep — and hand that lane — an
+// earlier lane's cell.
+func (vm *VM) computeLanes(m *machine.Machine, d *decodedInst, results *[2]uint64) error {
+	// The per-VM scratch buffer keeps the hot path allocation-free (the
+	// seed allocated a fresh []arith.Value per lane per trap).
+	args := &vm.scratch
+	for lane := 0; lane < d.lanes; lane++ {
+		for i, s := range d.srcs {
+			bits, err := vm.readFP(m, s, lane)
+			if err != nil {
+				return err
+			}
+			args[i] = vm.value(bits, i)
+		}
+		vm.Stats.Emulated++
+		opCycles := vm.Sys.OpCycles(d.aop)
+		vm.Stats.Cycles.Emulate += opCycles
+		m.Cycles += opCycles
+		key, bits, spare, err := vm.allocCell()
+		if err != nil {
+			return err
+		}
+		vm.Arena.Set(key, vm.Sys.Apply(spare, d.aop, args[0], args[1], args[2]))
+		results[lane] = bits
+		vm.roots[lane] = key
+		vm.nroots = lane + 1
 	}
 	return nil
 }
@@ -90,7 +106,7 @@ func (vm *VM) runCompare(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	a, b := vm.value(abits), vm.value(bbits)
+	a, b := vm.value(abits, 0), vm.value(bbits, 1)
 	vm.Stats.Emulated++
 	cmpCycles := vm.Sys.OpCycles(arith.OpSub) // comparisons cost like a subtract
 	vm.Stats.Cycles.Emulate += cmpCycles
@@ -115,7 +131,7 @@ func (vm *VM) runToInt(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	v := vm.value(bits)
+	v := vm.value(bits, 0)
 	vm.Stats.Emulated++
 	rc := m.MXCSR.RC()
 	if d.truncate {
@@ -134,12 +150,12 @@ func (vm *VM) runFromInt(m *machine.Machine, d *decodedInst) error {
 	if err != nil {
 		return err
 	}
-	res := vm.Sys.FromInt64(iv)
 	vm.Stats.Emulated++
-	bits, err := vm.boxResult(res)
+	key, bits, spare, err := vm.allocCell()
 	if err != nil {
 		return err
 	}
+	vm.Arena.Set(key, vm.Sys.FromInt64(spare, iv))
 	return m.WriteOperandFP(d.dst, 0, bits)
 }
 

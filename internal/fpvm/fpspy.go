@@ -77,7 +77,7 @@ func (s *Spy) handle(f *machine.TrapFrame) error {
 	switch d.kind {
 	case kindArith:
 		for lane := 0; lane < d.lanes; lane++ {
-			args := s.scratch[:len(d.srcs)]
+			args := &s.scratch
 			for i, src := range d.srcs {
 				bits, err := f.M.ReadOperandFP(src, lane)
 				if err != nil {
@@ -85,7 +85,7 @@ func (s *Spy) handle(f *machine.TrapFrame) error {
 				}
 				args[i] = quietIEEE(bits)
 			}
-			res := van.Apply(d.aop, args...).(float64)
+			res := van.Apply(nil, d.aop, args[0], args[1], args[2]).(float64)
 			if err := f.M.WriteOperandFP(d.dst, lane, math.Float64bits(res)); err != nil {
 				return err
 			}

@@ -188,6 +188,12 @@ type VM struct {
 	dcache  []*decodedInst // decode cache, one slot per instruction index
 	dfree   []*decodedInst // recycled decode-cache entries (session reuse)
 	scratch [3]arith.Value // reusable operand buffer for the emulation hot path
+	promo   [3]arith.Value // per-operand promotion destinations (recycled; see value)
+	// roots holds the arena keys of a packed instruction's lane results
+	// that are computed but not yet written back: a collection triggered
+	// by a later lane's allocation marks them like guest references.
+	roots   [2]uint64
+	nroots  int
 	gcEvery uint64
 	lastGC  uint64 // arena alloc count at last GC
 	telemPC uint64 // PC that promote/demote/unbox events attribute to
@@ -274,7 +280,7 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	vm.injectPC = 0
 	vm.san = cfg.Sanitize
 	vm.scratch = [3]arith.Value{}
-	vm.Arena.Reset()
+	vm.Arena.Reset(recycles(cfg.System))
 
 	// Recycle the previous session's decode-cache entries, then resize the
 	// dense cache to the (possibly new) instruction stream. Every slot starts
@@ -354,6 +360,14 @@ func (vm *VM) Reattach(m *machine.Machine, cfg Config) {
 	if _, vanilla := arch.(arith.Vanilla); vanilla && cfg.JITThreshold > 0 && cfg.SBCache != nil {
 		vm.adoptShared(m)
 	}
+}
+
+// recycles reports whether sys writes its results into recyclable
+// destinations: only MPFR, whose Floats are mutable. The arena keeps dead
+// cells' values for such a system alone.
+func recycles(sys arith.System) bool {
+	_, ok := sys.(*arith.MPFRSystem)
+	return ok
 }
 
 // handleFPTrap is the SIGFPE-analog entry point: it retires the trace rooted
@@ -481,8 +495,11 @@ func (vm *VM) outputFilter(bits uint64) (string, bool) {
 }
 
 // value materializes an operand lane as a shadow value: boxed operands are
-// looked up, plain doubles are promoted.
-func (vm *VM) value(bits uint64) arith.Value {
+// looked up, plain doubles are promoted. A promotion is written into the
+// operand slot's per-VM destination, recycled from the slot's previous
+// promotion: a promoted operand lives only until the instruction's
+// computation has read it, and results never alias operands.
+func (vm *VM) value(bits uint64, slot int) arith.Value {
 	if key, ok := nanbox.Unbox(bits); ok {
 		if v, ok := vm.Arena.Get(key); ok {
 			vm.Stats.Unboxings++
@@ -493,23 +510,29 @@ func (vm *VM) value(bits uint64) arith.Value {
 		}
 		// A signaling NaN with no shadow: a universal NaN (§2).
 		vm.Stats.UniversalNaN++
-		return vm.Sys.FromFloat64(math.NaN())
+		vm.promo[slot] = vm.Sys.FromFloat64(vm.promo[slot], math.NaN())
+		return vm.promo[slot]
 	}
 	vm.Stats.Promotions++
 	if t := vm.M.Telem; t != nil {
 		t.Promotion(vm.telemPC, vm.M.Cycles)
 	}
-	return vm.Sys.FromFloat64(math.Float64frombits(bits))
+	vm.promo[slot] = vm.Sys.FromFloat64(vm.promo[slot], math.Float64frombits(bits))
+	return vm.promo[slot]
 }
 
-// boxResult allocates a shadow cell for v and returns the NaN-boxed bits.
-// Arena pressure is absorbed rather than fatal: at the soft cap a GC pass
-// reclaims dead cells; at the hard cap the allocation fails with a degradable
-// fault so the caller's instruction re-executes natively instead of aborting.
-func (vm *VM) boxResult(v arith.Value) (uint64, error) {
+// allocCell reserves the shadow cell a result will occupy, before the result
+// is computed: it returns the cell's key, its NaN-boxed bits, and the cell's
+// dead previous value as the computation's recyclable destination; the
+// caller stores the result with Arena.Set before anything else can run a
+// collection. Arena pressure is absorbed rather than fatal: at the soft cap
+// a GC pass reclaims dead cells; at the hard cap the allocation fails with a
+// degradable fault so the caller's instruction re-executes natively instead
+// of aborting.
+func (vm *VM) allocCell() (key, bits uint64, spare arith.Value, err error) {
 	vm.M.Cycles += vm.costs.BoxAlloc
 	if j := vm.inject; j != nil && j.Fire(faultinject.SeamArenaAlloc, vm.injectPC) {
-		return 0, degradeFault(telemetry.DegradeArena, errInjected)
+		return 0, 0, nil, degradeFault(telemetry.DegradeArena, errInjected)
 	}
 	if cap := vm.cfg.ArenaSoftCap; cap > 0 && vm.Arena.Live() >= cap && !vm.cfg.DisableGC {
 		// Re-collect only after some allocation volume since the last pass:
@@ -520,14 +543,14 @@ func (vm *VM) boxResult(v arith.Value) (uint64, error) {
 		}
 	}
 	if cap := vm.cfg.ArenaHardCap; cap > 0 && vm.Arena.Live() >= cap {
-		return 0, degradeFault(telemetry.DegradeArena, errArenaFull)
+		return 0, 0, nil, degradeFault(telemetry.DegradeArena, errArenaFull)
 	}
-	key := vm.Arena.Alloc(v)
-	bits := nanbox.Box(key)
+	key, spare = vm.Arena.Alloc()
+	bits = nanbox.Box(key)
 	if j := vm.inject; j != nil {
 		bits, _ = j.CorruptBox(bits)
 	}
-	return bits, nil
+	return key, bits, spare, nil
 }
 
 // demoteBits converts a boxed pattern back to its IEEE double bits; plain

@@ -471,10 +471,18 @@ z: .f64 0.0
 	}
 }
 
+// arenaStore allocates a cell holding v.
+func arenaStore(a *Arena, v arith.Value) uint64 {
+	k, _ := a.Alloc()
+	a.Set(k, v)
+	return k
+}
+
 func TestArenaReuse(t *testing.T) {
 	a := NewArena()
-	k1 := a.Alloc(1.0)
-	k2 := a.Alloc(2.0)
+	a.Reset(true)
+	k1 := arenaStore(a, 1.0)
+	k2 := arenaStore(a, 2.0)
 	if k1 == k2 {
 		t.Fatal("duplicate keys")
 	}
@@ -489,8 +497,54 @@ func TestArenaReuse(t *testing.T) {
 	if v, ok := a.Get(k2); !ok || v.(float64) != 2.0 {
 		t.Fatal("k2 should survive")
 	}
-	k3 := a.Alloc(3.0)
+	k3, spare := a.Alloc()
 	if k3 != k1 {
 		t.Fatalf("freed slot not reused: got %d want %d", k3, k1)
+	}
+	if spare != 1.0 {
+		t.Fatalf("recycled cell's spare = %v, want its swept value 1", spare)
+	}
+	// Reset retires every cell but keeps the values: a fresh key sequence
+	// whose slots hand back the previous session's values.
+	a.Set(k3, 3.0)
+	a.Reset(true)
+	if k, spare := a.Alloc(); k != 0 || spare != 3.0 || a.Live() != 1 {
+		t.Fatalf("after Reset: Alloc = (%d, %v), live %d; want (0, 3), 1", k, spare, a.Live())
+	}
+	// A session whose system does not recycle drops every retained value.
+	a.Reset(false)
+	arenaStore(a, 4.0)
+	arenaStore(a, 5.0)
+	a.Mark(1)
+	a.Sweep()
+	if k, spare := a.Alloc(); k != 0 || spare != nil {
+		t.Fatalf("non-recycling arena: Alloc = (%d, %v), want (0, nil)", k, spare)
+	}
+	if _, spare := a.Alloc(); spare != nil {
+		t.Fatalf("non-recycling arena kept a value across Reset: %v", spare)
+	}
+}
+
+// TestArenaResetRetentionBounded pins the carry-over bound: a recycling
+// Reset keeps the values of the first retainCells slots and drops the rest,
+// so an idle pooled session pins at most that many dead values.
+func TestArenaResetRetentionBounded(t *testing.T) {
+	a := NewArena()
+	a.Reset(true)
+	for i := 0; i < retainCells+2; i++ {
+		arenaStore(a, float64(i))
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		a.Reset(true)
+		for i := 0; i < retainCells+2; i++ {
+			k, spare := a.Alloc()
+			switch want := arith.Value(float64(i)); {
+			case i < retainCells && spare != want:
+				t.Fatalf("cycle %d: slot %d spare = %v, want its carried-over value %v", cycle, k, spare, want)
+			case i >= retainCells && spare != nil:
+				t.Fatalf("cycle %d: slot %d beyond the bound kept %v", cycle, k, spare)
+			}
+			a.Set(k, float64(i))
+		}
 	}
 }

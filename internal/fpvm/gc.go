@@ -64,6 +64,11 @@ func (vm *VM) RunGC() {
 		}
 	}
 
+	// Lane results of the instruction being emulated are live but not yet
+	// in guest state.
+	for _, key := range vm.roots[:vm.nroots] {
+		vm.Arena.Mark(key)
+	}
 	for r := range m.F {
 		probe(m.F[r][0])
 		probe(m.F[r][1])

@@ -113,7 +113,7 @@ func (vm *VM) tryNative(f *machine.TrapFrame, d *decodedInst) (bool, error) {
 		if flags != 0 {
 			return false, nil // postcondition failed: emulate instead
 		}
-		results[lane] = math.Float64bits(van.Apply(d.aop, args...).(float64))
+		results[lane] = math.Float64bits(van.Apply(nil, d.aop, vm.scratch[0], vm.scratch[1], vm.scratch[2]).(float64))
 	}
 	for lane := 0; lane < d.lanes; lane++ {
 		if err := f.M.WriteOperandFP(d.dst, lane, results[lane]); err != nil {

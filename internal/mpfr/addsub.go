@@ -65,12 +65,14 @@ func (z *Float) addSpecial(x, y *Float, negY bool, rnd RoundingMode) (int, bool)
 
 // addMant computes (-1)^negA * Ma * 2^Ea + (-1)^negB * Mb * 2^Eb, rounds to
 // z's precision, and returns the ternary value. Both mantissas must be
-// nonzero. This is the shared engine behind Add, Sub, and FMA.
+// nonzero. This is the shared engine behind Add, Sub, and FMA. The one
+// mantissa that needs aligning is shifted into borrowed scratch and the sum
+// formed there in place; z may be either operand.
 func (z *Float) addMant(negA bool, ma mpnat.Nat, ea int64, negB bool, mb mpnat.Nat, eb int64, rnd RoundingMode) int {
 	// Order so that a is the operand with the higher most-significant bit.
 	higha := ea + int64(ma.BitLen())
 	highb := eb + int64(mb.BitLen())
-	if higha < highb || (higha == highb && absCmp(ma, ea, mb, eb) < 0) {
+	if higha < highb {
 		ma, mb = mb, ma
 		ea, eb = eb, ea
 		negA, negB = negB, negA
@@ -79,6 +81,8 @@ func (z *Float) addMant(negA bool, ma mpnat.Nat, ea int64, negB bool, mb mpnat.N
 
 	prec := int64(z.effPrec())
 	sameSign := negA == negB
+	sc := getScratch()
+	defer putScratch(sc)
 
 	// Far-apart shortcut: b is entirely below a's guard+sticky region.
 	// Extend a by s bits so the extended mantissa has at least prec+3 bits
@@ -90,48 +94,60 @@ func (z *Float) addMant(negA bool, ma mpnat.Nat, ea int64, negB bool, mb mpnat.N
 		s = prec + 3 - bla
 	}
 	if gap := higha - highb; gap >= bla+s {
-		m := mpnat.Shl(ma, uint(s))
-		if sameSign {
-			// Value is m + eps with 0 < eps < 1 unit.
-			return z.setRounded(negA, m, ea-s, true, rnd)
+		m := sc.a.Shl(ma, uint(s))
+		if !sameSign {
+			// Value is m - eps = (m-1) + (1-eps) with 0 < 1-eps < 1 unit.
+			m = m.SubWord(m, 1)
 		}
-		// Value is m - eps = (m-1) + (1-eps) with 0 < 1-eps < 1 unit.
-		return z.setRounded(negA, mpnat.Sub(m, mpnat.Nat{1}), ea-s, true, rnd)
+		// Otherwise the value is m + eps with 0 < eps < 1 unit.
+		sc.a = m
+		return z.setRounded(negA, m, ea-s, true, rnd)
 	}
 
 	// Exact path: align to the common unit and add/subtract precisely.
-	// The shift amounts are bounded by the gap check above plus operand
-	// precisions, so this cannot blow up.
-	unit := ea
-	if eb < unit {
-		unit = eb
+	// Only the operand with the higher unit moves; the shift amount is
+	// bounded by the gap check above plus operand precisions, so this
+	// cannot blow up.
+	moved, other, negM, negO := ma, mb, negA, negB
+	if ea < eb {
+		moved, other, negM, negO = mb, ma, negB, negA
 	}
-	sa := mpnat.Shl(ma, uint(ea-unit))
-	sb := mpnat.Shl(mb, uint(eb-unit))
-	if sameSign {
-		return z.setRounded(negA, mpnat.Add(sa, sb), unit, false, rnd)
-	}
-	switch sa.Cmp(sb) {
-	case 0:
+	unit := min(ea, eb)
+	m := sc.a.Shl(moved, uint(max(ea, eb)-unit))
+	neg := negM
+	switch {
+	case sameSign:
+		m = m.Add(m, other)
+	case m.Cmp(other) > 0:
+		m = m.Sub(m, other)
+	case m.Cmp(other) < 0:
+		m = m.Sub(other, m)
+		neg = negO
+	default:
 		// Exact cancellation: IEEE sum of opposite values is +0 (RTN: -0).
 		z.setZero(rnd == RoundTowardNegative)
 		return 0
-	case 1:
-		return z.setRounded(negA, mpnat.Sub(sa, sb), unit, false, rnd)
-	default:
-		return z.setRounded(negB, mpnat.Sub(sb, sa), unit, false, rnd)
 	}
+	sc.a = m
+	return z.setRounded(neg, m, unit, false, rnd)
 }
 
 // absCmp compares |Ma * 2^Ea| with |Mb * 2^Eb| given both have the same
-// most-significant-bit position.
+// most-significant-bit position. Equal units (operands of one precision)
+// compare directly; otherwise the mantissa with the higher unit is aligned
+// in scratch.
 func absCmp(ma mpnat.Nat, ea int64, mb mpnat.Nat, eb int64) int {
-	// Align the units and compare.
-	unit := ea
-	if eb < unit {
-		unit = eb
+	if ea == eb {
+		return ma.Cmp(mb)
 	}
-	return mpnat.Shl(ma, uint(ea-unit)).Cmp(mpnat.Shl(mb, uint(eb-unit)))
+	sc := getScratch()
+	defer putScratch(sc)
+	if ea > eb {
+		sc.a = sc.a.Shl(ma, uint(ea-eb))
+		return sc.a.Cmp(mb)
+	}
+	sc.a = sc.a.Shl(mb, uint(eb-ea))
+	return ma.Cmp(sc.a)
 }
 
 // Cmp compares x and y and returns -1, 0, or +1. It returns 0 if either

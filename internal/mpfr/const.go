@@ -22,31 +22,34 @@ var (
 	ln2Cache constCache
 )
 
-func (c *constCache) get(bits uint, compute func(uint) mpnat.Nat) mpnat.Nat {
+// get returns the cached constant as val·2^-frac with frac >= bits,
+// recomputing it when the cache holds fewer fractional bits. The returned
+// Nat is never modified afterwards (a recompute installs a fresh one), so
+// callers may read it after the lock is released.
+func (c *constCache) get(bits uint, compute func(uint) mpnat.Nat) (val mpnat.Nat, frac uint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.bits >= bits {
-		return mpnat.Shr(c.val, c.bits-bits)
+	if c.bits < bits {
+		// Compute with a little headroom so nearby precisions reuse the cache.
+		wp := bits + 64
+		c.val = compute(wp)
+		c.bits = wp
 	}
-	// Compute with a little headroom so nearby precisions reuse the cache.
-	wp := bits + 64
-	c.val = compute(wp)
-	c.bits = wp
-	return mpnat.Shr(c.val, c.bits-bits)
+	return c.val, c.bits
 }
 
 // Pi sets z to π rounded to z's precision and returns the ternary value.
 func (z *Float) Pi(rnd RoundingMode) int {
 	wp := uint(z.effPrec()) + 32
-	fx := piCache.get(wp, computePi)
-	return z.setRounded(false, fx, -int64(wp), true, rnd)
+	fx, frac := piCache.get(wp, computePi)
+	return z.setRounded(false, fx, -int64(frac), true, rnd)
 }
 
 // Ln2 sets z to ln(2) rounded to z's precision and returns the ternary value.
 func (z *Float) Ln2(rnd RoundingMode) int {
 	wp := uint(z.effPrec()) + 32
-	fx := ln2Cache.get(wp, computeLn2)
-	return z.setRounded(false, fx, -int64(wp), true, rnd)
+	fx, frac := ln2Cache.get(wp, computeLn2)
+	return z.setRounded(false, fx, -int64(frac), true, rnd)
 }
 
 // computePi returns π * 2^wp (truncated) using Machin's formula
@@ -56,38 +59,38 @@ func computePi(wp uint) mpnat.Nat {
 	g := wp + 32
 	a5 := atanRecipFixed(5, g)
 	a239 := atanRecipFixed(239, g)
-	pi := mpnat.Sub(mpnat.MulWord(a5, 16), mpnat.MulWord(a239, 4))
-	return mpnat.Shr(pi, 32)
+	pi := mpnat.Nat(nil).Sub(mpnat.Nat(nil).MulWord(a5, 16), mpnat.Nat(nil).MulWord(a239, 4))
+	return mpnat.Nat(nil).Shr(pi, 32)
 }
 
 // computeLn2 returns ln(2) * 2^wp (truncated) using
 // ln 2 = 2·atanh(1/3) = 2·Σ 1/((2k+1)·3^(2k+1)).
 func computeLn2(wp uint) mpnat.Nat {
 	g := wp + 32
-	ln2 := mpnat.Shl(atanhRecipFixed(3, g), 1)
-	return mpnat.Shr(ln2, 32)
+	ln2 := mpnat.Nat(nil).Shl(atanhRecipFixed(3, g), 1)
+	return mpnat.Nat(nil).Shr(ln2, 32)
 }
 
 // atanRecipFixed returns atan(1/m) * 2^bits (truncated) for integer m >= 2
 // with m*m < 2^32, via the alternating series Σ (−1)^k / ((2k+1)·m^(2k+1)).
 func atanRecipFixed(m uint64, bits uint) mpnat.Nat {
-	one := mpnat.Shl(mpnat.Nat{1}, bits)
-	pow, _ := mpnat.DivMod(one, mpnat.Nat{m}) // 1/m in fixed point
+	one := mpnat.Nat(nil).Shl(mpnat.Nat{1}, bits)
+	pow, _ := mpnat.Nat(nil).DivMod(nil, one, mpnat.Nat{m}) // 1/m in fixed point
 	m2 := m * m
 	sum := pow.Clone()
 	for k := uint64(1); ; k++ {
-		pow, _ = mpnat.DivMod(pow, mpnat.Nat{m2})
+		pow, _ = mpnat.Nat(nil).DivMod(nil, pow, mpnat.Nat{m2})
 		if pow.IsZero() {
 			break
 		}
-		term, _ := mpnat.DivMod(pow, mpnat.Nat{2*k + 1})
+		term, _ := mpnat.Nat(nil).DivMod(nil, pow, mpnat.Nat{2*k + 1})
 		if term.IsZero() {
 			break
 		}
 		if k%2 == 1 {
-			sum = mpnat.Sub(sum, term)
+			sum = sum.Sub(sum, term)
 		} else {
-			sum = mpnat.Add(sum, term)
+			sum = sum.Add(sum, term)
 		}
 	}
 	return sum
@@ -96,20 +99,20 @@ func atanRecipFixed(m uint64, bits uint) mpnat.Nat {
 // atanhRecipFixed returns atanh(1/m) * 2^bits (truncated) for integer m >= 2
 // with m*m < 2^32, via Σ 1/((2k+1)·m^(2k+1)).
 func atanhRecipFixed(m uint64, bits uint) mpnat.Nat {
-	one := mpnat.Shl(mpnat.Nat{1}, bits)
-	pow, _ := mpnat.DivMod(one, mpnat.Nat{m})
+	one := mpnat.Nat(nil).Shl(mpnat.Nat{1}, bits)
+	pow, _ := mpnat.Nat(nil).DivMod(nil, one, mpnat.Nat{m})
 	m2 := m * m
 	sum := pow.Clone()
 	for k := uint64(1); ; k++ {
-		pow, _ = mpnat.DivMod(pow, mpnat.Nat{m2})
+		pow, _ = mpnat.Nat(nil).DivMod(nil, pow, mpnat.Nat{m2})
 		if pow.IsZero() {
 			break
 		}
-		term, _ := mpnat.DivMod(pow, mpnat.Nat{2*k + 1})
+		term, _ := mpnat.Nat(nil).DivMod(nil, pow, mpnat.Nat{2*k + 1})
 		if term.IsZero() {
 			break
 		}
-		sum = mpnat.Add(sum, term)
+		sum = sum.Add(sum, term)
 	}
 	return sum
 }

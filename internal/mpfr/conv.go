@@ -2,6 +2,7 @@ package mpfr
 
 import (
 	"math"
+	"math/bits"
 
 	"fpvm/internal/mpnat"
 )
@@ -24,10 +25,12 @@ func (z *Float) SetFloat64(v float64, rnd RoundingMode) int {
 		return 0
 	case biased == 0:
 		// Subnormal: value = frac * 2^-1074.
-		return z.setRounded(neg, mpnat.FromUint64(frac), -1074, false, rnd)
+		w := [1]uint64{frac}
+		return z.setRounded(neg, w[:], -1074, false, rnd)
 	}
 	// Normal: value = (2^52 + frac) * 2^(biased - 1075).
-	return z.setRounded(neg, mpnat.FromUint64(1<<52|frac), biased-1075, false, rnd)
+	w := [1]uint64{1<<52 | frac}
+	return z.setRounded(neg, w[:], biased-1075, false, rnd)
 }
 
 // Float64 returns x converted to float64 with the given rounding mode,
@@ -56,23 +59,24 @@ func (x *Float) Float64(rnd RoundingMode) float64 {
 			return x.tinyFloat64(rnd)
 		}
 	}
-	t := New(uint(effPrec))
+	sc := getScratch()
+	defer putScratch(sc)
+	t := &sc.t
+	t.prec = clampPrec(uint(effPrec))
 	t.Set(x, rnd)
 	if t.form == zero {
 		return math.Copysign(0, float64(sign1(x.neg)))
 	}
-	exp, mant := t.exp, t.mant
+	// The rounded mantissa has at most 53 bits: one limb.
+	exp, mant := t.exp, t.mant[0]
+	bl := bits.Len64(mant)
 
 	if exp > 1024 {
 		return overflowFloat64(x.neg, rnd)
 	}
 	if exp >= -1021 {
 		// Normal number: need exactly 53 mantissa bits.
-		m53 := mpnat.Shl(mant, uint(53-mant.BitLen()))
-		lo, _ := m53.Uint64()
-		if mant.BitLen() > 53 {
-			panic("mpfr: internal: mantissa wider than 53 bits")
-		}
+		lo := mant << (53 - bl)
 		biased := uint64(exp-1) + 1023
 		bits := uint64(0)
 		if t.neg {
@@ -86,11 +90,9 @@ func (x *Float) Float64(rnd RoundingMode) float64 {
 	shift := t.unitExp() + 1074
 	var f uint64
 	if shift >= 0 {
-		fm := mpnat.Shl(mant, uint(shift))
-		f, _ = fm.Uint64()
+		f = mant << shift
 	} else {
-		fm := mpnat.Shr(mant, uint(-shift))
-		f, _ = fm.Uint64()
+		f = mant >> -shift
 	}
 	if f >= 1<<52 {
 		// Rounding bumped it into the normal range (2^-1022).
@@ -122,7 +124,7 @@ func (x *Float) tinyFloat64(rnd RoundingMode) float64 {
 		half := New(2)
 		half.form = finite
 		half.neg = false
-		half.mant = mpnat.Shl(mpnat.Nat{1}, 1)
+		half.mant = mpnat.Nat(nil).Shl(mpnat.Nat{1}, 1)
 		half.exp = -1074 // value 2^-1075
 		c := x.cmpAbs(half)
 		up = c > 0 || (c == 0 && rnd == RoundNearestAway)
@@ -169,18 +171,26 @@ func (x *Float) Int64(rnd RoundingMode) (v int64, ok bool) {
 	if x.form == zero {
 		return 0, true
 	}
-	r := New(uint(x.effPrec()) + 2)
+	sc := getScratch()
+	defer putScratch(sc)
+	r := &sc.t
+	r.prec = clampPrec(uint(x.effPrec()) + 2)
 	r.rint(x, rnd)
 	if r.form == zero {
 		return 0, true
 	}
 	// r = mant * 2^unitExp with unitExp >= 0 for integers.
 	ue := r.unitExp()
+	if ue > 64 {
+		return math.MinInt64, false // at least 2^64
+	}
 	m := r.mant
 	if ue > 0 {
-		m = mpnat.Shl(m, uint(ue))
+		sc.a = sc.a.Shl(m, uint(ue))
+		m = sc.a
 	} else if ue < 0 {
-		m = mpnat.Shr(m, uint(-ue))
+		sc.a = sc.a.Shr(m, uint(-ue))
+		m = sc.a
 	}
 	u, fits := m.Uint64()
 	if !fits {
@@ -244,7 +254,7 @@ func (z *Float) rint(x *Float, rnd RoundingMode) int {
 	}
 	// Split integer and fraction parts of the mantissa.
 	fracBits := uint(-ue)
-	intPart := mpnat.Shr(x.mant, fracBits)
+	intPart := mpnat.Nat(nil).Shr(x.mant, fracBits)
 	guard := x.mant.Bit(int(fracBits)-1) == 1
 	sticky := lowBitsNonzero(x.mant, int(fracBits)-1)
 	up := false
@@ -252,7 +262,7 @@ func (z *Float) rint(x *Float, rnd RoundingMode) int {
 		up = roundUpDecision(x.neg, guard, sticky, intPart, rnd)
 	}
 	if up {
-		intPart = mpnat.AddWord(intPart, 1)
+		intPart = intPart.AddWord(intPart, 1)
 	}
 	t := z.setRounded(x.neg, intPart, 0, false, rnd)
 	if guard || sticky {

@@ -21,6 +21,8 @@
 package mpfr
 
 import (
+	"sync"
+
 	"fpvm/internal/mpnat"
 )
 
@@ -78,6 +80,23 @@ type Float struct {
 	mant mpnat.Nat // exactly prec bits when form == finite, MSB set
 }
 
+// scratch is the working storage of one arithmetic operation: mantissa
+// temporaries (aligned addends, exact products, division numerators,
+// quotients and roots) and, for the conversions, a rounded copy of the
+// operand. Operations borrow one from scratchPool for their duration, so
+// the buffers keep their capacity from call to call and a warm operation
+// allocates nothing; the pool keeps concurrent sessions apart. Every
+// operation finishes reading its scratch before it returns it.
+type scratch struct {
+	a, b, c mpnat.Nat
+	t       Float
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
+func putScratch(s *scratch) { scratchPool.Put(s) }
+
 // New returns a NaN-valued Float with the given precision in bits.
 func New(prec uint) *Float {
 	return &Float{prec: clampPrec(prec), form: nan}
@@ -111,9 +130,8 @@ func (z *Float) SetPrec(prec uint, rnd RoundingMode) *Float {
 		z.prec = p
 		return z
 	}
-	mant, exp, neg := z.mant, z.exp, z.neg
 	z.prec = p
-	z.setRounded(neg, mant, exp-int64(mant.BitLen()), false, rnd)
+	z.setRounded(z.neg, z.mant, z.unitExp(), false, rnd) // rounds in place
 	return z
 }
 
@@ -154,11 +172,12 @@ func (x *Float) BinExp() int64 {
 	return x.exp
 }
 
-// setNaN sets z to NaN and returns z.
+// setNaN sets z to NaN and returns z. Like setInf and setZero it keeps the
+// mantissa's array, so the next finite result written into z reuses it.
 func (z *Float) setNaN() *Float {
 	z.form = nan
 	z.neg = false
-	z.mant = nil
+	z.mant = z.mant[:0]
 	return z
 }
 
@@ -166,7 +185,7 @@ func (z *Float) setNaN() *Float {
 func (z *Float) setInf(neg bool) *Float {
 	z.form = inf
 	z.neg = neg
-	z.mant = nil
+	z.mant = z.mant[:0]
 	return z
 }
 
@@ -174,7 +193,7 @@ func (z *Float) setInf(neg bool) *Float {
 func (z *Float) setZero(neg bool) *Float {
 	z.form = zero
 	z.neg = neg
-	z.mant = nil
+	z.mant = z.mant[:0]
 	return z
 }
 
@@ -215,7 +234,7 @@ func (z *Float) Copy(x *Float) *Float {
 	z.form = x.form
 	z.neg = x.neg
 	z.exp = x.exp
-	z.mant = x.mant.Clone()
+	z.mant = z.mant.Set(x.mant)
 	return z
 }
 
@@ -241,7 +260,8 @@ func (z *Float) setUintParts(neg bool, u uint64, rnd RoundingMode) int {
 		z.setZero(false)
 		return 0
 	}
-	return z.setRounded(neg, mpnat.FromUint64(u), 0, false, rnd)
+	w := [1]uint64{u}
+	return z.setRounded(neg, w[:], 0, false, rnd)
 }
 
 // Neg sets z to -x rounded to z's precision and returns the ternary value.

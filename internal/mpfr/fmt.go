@@ -18,13 +18,13 @@ func pow10Nat(n int64) mpnat.Nat {
 	const chunkPow = 19
 	const chunk = uint64(10_000_000_000_000_000_000)
 	for ; n >= chunkPow; n -= chunkPow {
-		z = mpnat.MulWord(z, chunk)
+		z = z.MulWord(z, chunk)
 	}
 	w := uint64(1)
 	for ; n > 0; n-- {
 		w *= 10
 	}
-	return mpnat.MulWord(z, w)
+	return z.MulWord(z, w)
 }
 
 // SetString sets z to the value of s, which may be a decimal number with
@@ -69,7 +69,8 @@ func (z *Float) SetString(s string, rnd RoundingMode) (*Float, int, error) {
 		if c < '0' || c > '9' {
 			return z, 0, fmt.Errorf("mpfr: invalid digit in %q", orig)
 		}
-		digits = mpnat.AddWord(mpnat.MulWord(digits, 10), uint64(c-'0'))
+		digits = digits.MulWord(digits, 10)
+		digits = digits.AddWord(digits, uint64(c-'0'))
 	}
 
 	exp10 := int64(-len(fracPart))
@@ -88,7 +89,7 @@ func (z *Float) SetString(s string, rnd RoundingMode) (*Float, int, error) {
 
 	var t int
 	if exp10 >= 0 {
-		m := mpnat.Mul(digits, pow10Nat(exp10))
+		m := mpnat.Nat(nil).Mul(digits, pow10Nat(exp10))
 		t = z.setRounded(neg, m, 0, false, rnd)
 	} else {
 		den := pow10Nat(-exp10)
@@ -96,7 +97,7 @@ func (z *Float) SetString(s string, rnd RoundingMode) (*Float, int, error) {
 		if shift < 0 {
 			shift = 0
 		}
-		q, r := mpnat.DivMod(mpnat.Shl(digits, uint(shift)), den)
+		q, r := mpnat.Nat(nil).DivMod(nil, mpnat.Nat(nil).Shl(digits, uint(shift)), den)
 		t = z.setRounded(neg, q, -shift, !r.IsZero(), rnd)
 	}
 	return z, t, nil
@@ -251,12 +252,12 @@ func (x *Float) approxDigits(n, e10 int64) (string, bool) {
 		if ue > exactScaleLimit {
 			return "", false // estimate far off; let the caller re-aim
 		}
-		q = mpnat.Shl(y.mant, uint(ue))
+		q = mpnat.Nat(nil).Shl(y.mant, uint(ue))
 	default:
 		s := uint(-ue)
-		q = mpnat.Shr(y.mant, s)
+		q = mpnat.Nat(nil).Shr(y.mant, s)
 		if y.mant.Bit(int(s)-1) == 1 {
-			q = mpnat.AddWord(q, 1) // round half up, as scaledDigits does
+			q = q.AddWord(q, 1) // round half up, as scaledDigits does
 		}
 	}
 	ds := natDecimal(q)
@@ -275,21 +276,21 @@ func (x *Float) scaledDigits(n, e10 int64) (string, bool) {
 	num := x.mant
 	var den mpnat.Nat = mpnat.Nat{1}
 	if p10 >= 0 {
-		num = mpnat.Mul(num, pow10Nat(p10))
+		num = mpnat.Nat(nil).Mul(num, pow10Nat(p10))
 	} else {
 		den = pow10Nat(-p10)
 	}
 	if ue >= 0 {
-		num = mpnat.Shl(num, uint(ue))
+		num = mpnat.Nat(nil).Shl(num, uint(ue))
 	} else {
-		den = mpnat.Shl(den, uint(-ue))
+		den = mpnat.Nat(nil).Shl(den, uint(-ue))
 	}
-	q, r := mpnat.DivMod(num, den)
+	q, r := mpnat.Nat(nil).DivMod(nil, num, den)
 	// Round half up on the remainder (formatting choice; ties are unlikely
 	// to matter for diagnostics and EXPERIMENTS output).
-	r2 := mpnat.Shl(r, 1)
+	r2 := mpnat.Nat(nil).Shl(r, 1)
 	if r2.Cmp(den) >= 0 {
-		q = mpnat.AddWord(q, 1)
+		q = q.AddWord(q, 1)
 	}
 	s := natDecimal(q)
 	if int64(len(s)) > n {
@@ -306,7 +307,7 @@ func natDecimal(v mpnat.Nat) string {
 	var chunks []uint64
 	const chunk = uint64(10_000_000_000_000_000_000) // 10^19
 	for !v.IsZero() {
-		q, r := mpnat.DivMod(v, mpnat.Nat{chunk})
+		q, r := mpnat.Nat(nil).DivMod(nil, v, mpnat.Nat{chunk})
 		rw, _ := r.Uint64()
 		chunks = append(chunks, rw)
 		v = q

@@ -835,29 +835,70 @@ func TestHypot(t *testing.T) {
 	}
 }
 
-func BenchmarkAdd200(b *testing.B)  { benchOp(b, 200, (*Float).Add) }
-func BenchmarkMul200(b *testing.B)  { benchOp(b, 200, (*Float).Mul) }
-func BenchmarkDiv200(b *testing.B)  { benchOp(b, 200, (*Float).Div) }
+// warmOps are the basic operations of the emulation hot path, as
+// benchmarked below and held allocation-free by TestWarmOpsAllocationFree.
+var warmOps = []struct {
+	name string
+	op   func(z, x, y *Float, rnd RoundingMode) int
+}{
+	{"Add", (*Float).Add},
+	{"Sub", (*Float).Sub},
+	{"Mul", (*Float).Mul},
+	{"Div", (*Float).Div},
+	{"Sqrt", func(z, x, _ *Float, rnd RoundingMode) int { return z.Sqrt(x, rnd) }},
+	{"FMA", func(z, x, y *Float, rnd RoundingMode) int { return z.FMA(x, y, y, rnd) }},
+}
+
+func BenchmarkAdd200(b *testing.B)  { benchOp(b, 200, warmOps[0].op) }
+func BenchmarkSub200(b *testing.B)  { benchOp(b, 200, warmOps[1].op) }
+func BenchmarkMul200(b *testing.B)  { benchOp(b, 200, warmOps[2].op) }
+func BenchmarkDiv200(b *testing.B)  { benchOp(b, 200, warmOps[3].op) }
+func BenchmarkSqrt200(b *testing.B) { benchOp(b, 200, warmOps[4].op) }
+func BenchmarkFMA200(b *testing.B)  { benchOp(b, 200, warmOps[5].op) }
 func BenchmarkAdd2048(b *testing.B) { benchOp(b, 2048, (*Float).Add) }
 func BenchmarkMul2048(b *testing.B) { benchOp(b, 2048, (*Float).Mul) }
 func BenchmarkDiv2048(b *testing.B) { benchOp(b, 2048, (*Float).Div) }
 
-func benchOp(b *testing.B, prec uint, op func(z, x, y *Float, rnd RoundingMode) int) {
-	x, y, z := New(prec), New(prec), New(prec)
+// benchOperands returns two full-precision operands and a destination.
+func benchOperands(prec uint) (x, y, z *Float) {
+	x, y, z = New(prec), New(prec), New(prec)
 	x.SetString("3.14159265358979323846", RoundNearestEven)
 	y.SetString("2.71828182845904523536", RoundNearestEven)
 	// Fill the full precision with digits.
 	x.Sqrt(x, RoundNearestEven)
 	y.Sqrt(y, RoundNearestEven)
+	return x, y, z
+}
+
+func benchOp(b *testing.B, prec uint, op func(z, x, y *Float, rnd RoundingMode) int) {
+	x, y, z := benchOperands(prec)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(z, x, y, RoundNearestEven)
 	}
 }
 
+// TestWarmOpsAllocationFree is the exact allocation gate of the MPFR-200
+// core: once a destination has held one result, writing the next into it
+// allocates nothing — neither the mantissa nor any temporary.
+func TestWarmOpsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race (sync.Pool drops objects)")
+	}
+	x, y, z := benchOperands(200)
+	for _, o := range warmOps {
+		o.op(z, x, y, RoundNearestEven) // warm z and the scratch pool
+		if n := testing.AllocsPerRun(200, func() { o.op(z, x, y, RoundNearestEven) }); n != 0 {
+			t.Errorf("%s: %v allocs per warm 200-bit op, want 0", o.name, n)
+		}
+	}
+}
+
 func BenchmarkSin200(b *testing.B) {
 	x, z := New(200), New(200)
 	x.SetString("0.7853981633974483", RoundNearestEven)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Sin(x, RoundNearestEven)

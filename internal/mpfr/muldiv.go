@@ -1,7 +1,5 @@
 package mpfr
 
-import "fpvm/internal/mpnat"
-
 // Mul sets z to x * y rounded to z's precision and returns the ternary value.
 func (z *Float) Mul(x, y *Float, rnd RoundingMode) int {
 	neg := x.neg != y.neg
@@ -20,8 +18,10 @@ func (z *Float) Mul(x, y *Float, rnd RoundingMode) int {
 		z.setZero(neg)
 		return 0
 	}
-	m := mpnat.Mul(x.mant, y.mant)
-	return z.setRounded(neg, m, x.unitExp()+y.unitExp(), false, rnd)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.a = sc.a.Mul(x.mant, y.mant)
+	return z.setRounded(neg, sc.a, x.unitExp()+y.unitExp(), false, rnd)
 }
 
 // Sqr sets z to x² rounded to z's precision and returns the ternary value.
@@ -41,8 +41,10 @@ func (z *Float) Sqr(x *Float, rnd RoundingMode) int {
 		z.setZero(false) // (±0)² = +0
 		return 0
 	}
-	m := mpnat.Sqr(x.mant)
-	return z.setRounded(false, m, 2*x.unitExp(), false, rnd)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.a = sc.a.Sqr(x.mant)
+	return z.setRounded(false, sc.a, 2*x.unitExp(), false, rnd)
 }
 
 // Div sets z to x / y rounded to z's precision and returns the ternary value.
@@ -72,15 +74,18 @@ func (z *Float) Div(x, y *Float, rnd RoundingMode) int {
 		z.setZero(neg)
 		return 0
 	}
-	// Produce a quotient with at least prec+3 bits plus a sticky remainder.
+	// Produce a quotient with at least prec+3 bits; a nonzero remainder is
+	// all setRounded needs to know about the bits below it.
 	prec := int64(z.effPrec())
 	shift := prec + 3 + int64(y.mant.BitLen()) - int64(x.mant.BitLen())
 	if shift < 0 {
 		shift = 0
 	}
-	num := mpnat.Shl(x.mant, uint(shift))
-	q, r := mpnat.DivMod(num, y.mant)
-	return z.setRounded(neg, q, x.unitExp()-y.unitExp()-shift, !r.IsZero(), rnd)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.a = sc.a.Shl(x.mant, uint(shift))
+	sc.b, sc.c = sc.b.DivMod(sc.c, sc.a, y.mant)
+	return z.setRounded(neg, sc.b, x.unitExp()-y.unitExp()-shift, len(sc.c) != 0, rnd)
 }
 
 // Sqrt sets z to the square root of x rounded to z's precision and returns
@@ -113,10 +118,12 @@ func (z *Float) Sqrt(x *Float, rnd RoundingMode) int {
 	if (e-shift)%2 != 0 {
 		shift++
 	}
-	scaled := mpnat.Shl(m, uint(shift))
-	root := mpnat.SqrtFloor(scaled)
-	sticky := mpnat.Mul(root, root).Cmp(scaled) != 0
-	return z.setRounded(false, root, (e-shift)/2, sticky, rnd)
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.a = sc.a.Shl(m, uint(shift))
+	sc.b, sc.c = sc.b.SqrtRem(sc.c, sc.a)
+	// A nonzero remainder means the root is inexact: the sticky bit.
+	return z.setRounded(false, sc.b, (e-shift)/2, len(sc.c) != 0, rnd)
 }
 
 // FMA sets z to x*y + w with a single rounding (fused multiply-add) and
@@ -130,12 +137,14 @@ func (z *Float) FMA(x, y, w *Float, rnd RoundingMode) int {
 		return z.Add(prod, w, rnd)
 	}
 	negP := x.neg != y.neg
-	mp := mpnat.Mul(x.mant, y.mant) // exact product
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.a = sc.a.Mul(x.mant, y.mant) // exact product
 	ep := x.unitExp() + y.unitExp()
 	if w.form == zero {
-		return z.setRounded(negP, mp, ep, false, rnd)
+		return z.setRounded(negP, sc.a, ep, false, rnd)
 	}
-	return z.addMant(negP, mp, ep, w.neg, w.mant, w.unitExp(), rnd)
+	return z.addMant(negP, sc.a, ep, w.neg, w.mant, w.unitExp(), rnd)
 }
 
 // Mul2Exp sets z to x * 2^n exactly (up to z's precision) and returns the

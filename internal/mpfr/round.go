@@ -10,7 +10,10 @@ import "fpvm/internal/mpnat"
 //
 // This is the single rounding point for the whole package: every arithmetic
 // operation reduces to producing an exact (or guard+sticky-annotated)
-// integer mantissa and calling setRounded.
+// integer mantissa and calling setRounded. The rounded mantissa is written
+// into z.mant's array, so a warm z takes no allocation. m may be z.mant
+// itself (SetPrec rounds in place): the guard and sticky bits are read
+// before the shift, and mpnat's shifts work in place.
 //
 // Contract: when stickyExtra is true the caller must supply a mantissa m
 // with BitLen(m) >= prec+1, so that the guard bit (the first bit below the
@@ -18,7 +21,7 @@ import "fpvm/internal/mpnat"
 // discarded. Every caller in this package keeps >= 2 guard bits.
 func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, rnd RoundingMode) int {
 	m = m.Norm()
-	if m.IsZero() {
+	if len(m) == 0 {
 		if stickyExtra {
 			// The entire value was discarded bits: round as if from a tiny
 			// nonzero magnitude. This only happens for callers that shifted
@@ -34,36 +37,30 @@ func (z *Float) setRounded(neg bool, m mpnat.Nat, exp2 int64, stickyExtra bool, 
 	bl := m.BitLen()
 	shift := bl - prec
 
-	var mant mpnat.Nat
-	inexact := false
-	roundUp := false
-
-	if shift <= 0 {
-		mant = mpnat.Shl(m, uint(-shift))
-		inexact = stickyExtra
-		if stickyExtra {
-			roundUp = roundUpDecision(neg, false, true, mant, rnd)
-		}
-	} else {
-		mant = mpnat.Shr(m, uint(shift))
-		guard := m.Bit(shift-1) == 1
-		sticky := stickyExtra
-		if !sticky {
-			// Any nonzero bit below the guard bit?
-			sticky = lowBitsNonzero(m, shift-1)
-		}
-		inexact = guard || sticky
-		if inexact {
-			roundUp = roundUpDecision(neg, guard, sticky, mant, rnd)
-		}
+	guard, sticky := false, stickyExtra
+	mant := z.mant
+	if n := (prec + 63) / 64; cap(mant) < n {
+		// Size a new mantissa exactly: it lives as long as z, often in an
+		// arena cell, and the kernels' growth headroom would double it.
+		mant = make(mpnat.Nat, 0, n)
 	}
+	if shift <= 0 {
+		mant = mant.Shl(m, uint(-shift))
+	} else {
+		guard = m.Bit(shift-1) == 1
+		// Any nonzero bit below the guard bit?
+		sticky = sticky || lowBitsNonzero(m, shift-1)
+		mant = mant.Shr(m, uint(shift))
+	}
+	inexact := guard || sticky
+	roundUp := inexact && roundUpDecision(neg, guard, sticky, mant, rnd)
 
 	exp := exp2 + int64(bl)
 	if roundUp {
-		mant = mpnat.AddWord(mant, 1)
+		mant = mant.AddWord(mant, 1)
 		if mant.BitLen() > prec {
 			// Carry out: 0.111..1 rounded up to 1.000..0.
-			mant = mpnat.Shr(mant, 1)
+			mant = mant.Shr(mant, 1)
 			exp++
 		}
 	}
@@ -148,7 +145,8 @@ func (z *Float) roundUnderflowSticky(neg bool, exp2 int64, rnd RoundingMode) int
 	z.form = finite
 	z.neg = neg
 	prec := int64(z.effPrec())
-	z.mant = mpnat.Shl(mpnat.Nat{1}, uint(prec-1))
+	one := [1]uint64{1}
+	z.mant = z.mant.Shl(one[:], uint(prec-1))
 	z.exp = exp2 + 1
 	if neg {
 		return -1

@@ -92,7 +92,7 @@ func TestAddProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		x, y := randNat(r, 8), randNat(r, 8)
-		got := toBig(Add(x, y))
+		got := toBig(Nat(nil).Add(x, y))
 		want := new(big.Int).Add(toBig(x), toBig(y))
 		if got.Cmp(want) != 0 {
 			t.Fatalf("Add(%v,%v) = %v, want %v", x, y, got, want)
@@ -107,7 +107,7 @@ func TestSubProperty(t *testing.T) {
 		if x.Cmp(y) < 0 {
 			x, y = y, x
 		}
-		got := toBig(Sub(x, y))
+		got := toBig(Nat(nil).Sub(x, y))
 		want := new(big.Int).Sub(toBig(x), toBig(y))
 		if got.Cmp(want) != 0 {
 			t.Fatalf("Sub(%v,%v) = %v, want %v", x, y, got, want)
@@ -121,14 +121,14 @@ func TestSubUnderflowPanics(t *testing.T) {
 			t.Fatal("Sub(1, 2) should panic")
 		}
 	}()
-	Sub(Nat{1}, Nat{2})
+	Nat(nil).Sub(Nat{1}, Nat{2})
 }
 
 func TestMulProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		x, y := randNat(r, 6), randNat(r, 6)
-		got := toBig(Mul(x, y))
+		got := toBig(Nat(nil).Mul(x, y))
 		want := new(big.Int).Mul(toBig(x), toBig(y))
 		if got.Cmp(want) != 0 {
 			t.Fatalf("Mul(%v,%v) wrong", x, y)
@@ -147,7 +147,7 @@ func TestMulKaratsubaProperty(t *testing.T) {
 		for len(y) < karatsubaThreshold {
 			y = append(y, r.Uint64()|1)
 		}
-		got := toBig(Mul(x, y))
+		got := toBig(Nat(nil).Mul(x, y))
 		want := new(big.Int).Mul(toBig(x), toBig(y))
 		if got.Cmp(want) != 0 {
 			t.Fatalf("Karatsuba Mul wrong at %d limbs x %d limbs", len(x), len(y))
@@ -159,7 +159,7 @@ func TestMulWordProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {
 		x, w := randNat(r, 6), r.Uint64()
-		got := toBig(MulWord(x, w))
+		got := toBig(Nat(nil).MulWord(x, w))
 		want := new(big.Int).Mul(toBig(x), new(big.Int).SetUint64(w))
 		if got.Cmp(want) != 0 {
 			t.Fatalf("MulWord(%v,%d) wrong", x, w)
@@ -172,12 +172,12 @@ func TestShlShrProperty(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		x := randNat(r, 5)
 		s := uint(r.Intn(200))
-		gotL := toBig(Shl(x, s))
+		gotL := toBig(Nat(nil).Shl(x, s))
 		wantL := new(big.Int).Lsh(toBig(x), s)
 		if gotL.Cmp(wantL) != 0 {
 			t.Fatalf("Shl(%v,%d) wrong", x, s)
 		}
-		gotR := toBig(Shr(x, s))
+		gotR := toBig(Nat(nil).Shr(x, s))
 		wantR := new(big.Int).Rsh(toBig(x), s)
 		if gotR.Cmp(wantR) != 0 {
 			t.Fatalf("Shr(%v,%d) wrong", x, s)
@@ -193,7 +193,7 @@ func TestDivModProperty(t *testing.T) {
 		if y.IsZero() {
 			y = Nat{1 + r.Uint64()%100}
 		}
-		q, rem := DivMod(x, y)
+		q, rem := Nat(nil).DivMod(nil, x, y)
 		wantQ, wantR := new(big.Int).QuoRem(toBig(x), toBig(y), new(big.Int))
 		if toBig(q).Cmp(wantQ) != 0 || toBig(rem).Cmp(wantR) != 0 {
 			t.Fatalf("DivMod(%v,%v): got q=%v r=%v want q=%v r=%v",
@@ -212,7 +212,7 @@ func TestDivModKnuthHardCases(t *testing.T) {
 		{Nat{0, 0, 1}, Nat{1, 1}},
 	}
 	for _, c := range cases {
-		q, r := DivMod(c[0], c[1])
+		q, r := Nat(nil).DivMod(nil, c[0], c[1])
 		wantQ, wantR := new(big.Int).QuoRem(toBig(c[0]), toBig(c[1]), new(big.Int))
 		if toBig(q).Cmp(wantQ) != 0 || toBig(r).Cmp(wantR) != 0 {
 			t.Errorf("DivMod(%v, %v) wrong: got q=%v r=%v want q=%v r=%v",
@@ -227,7 +227,7 @@ func TestDivByZeroPanics(t *testing.T) {
 			t.Fatal("DivMod by zero should panic")
 		}
 	}()
-	DivMod(Nat{1}, nil)
+	Nat(nil).DivMod(nil, Nat{1}, nil)
 }
 
 func TestDivModIdentity(t *testing.T) {
@@ -238,44 +238,53 @@ func TestDivModIdentity(t *testing.T) {
 		if y.IsZero() {
 			return true
 		}
-		q, r := DivMod(x, y)
+		q, r := Nat(nil).DivMod(nil, x, y)
 		if r.Cmp(y) >= 0 {
 			return false
 		}
-		return Add(Mul(q, y), r).Cmp(x) == 0
+		return Nat(nil).Add(Nat(nil).Mul(q, y), r).Cmp(x) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// sqrtFloor returns ⌊√x⌋ and checks SqrtRem's remainder along the way.
+func sqrtFloor(x Nat) Nat {
+	s, r := Nat(nil).SqrtRem(nil, x)
+	if Nat(nil).Add(Nat(nil).Sqr(s), r).Cmp(x) != 0 {
+		panic("SqrtRem: root² + rem != x")
+	}
+	return s
+}
+
 func TestSqrtFloorProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for i := 0; i < 300; i++ {
 		x := randNat(r, 5)
-		s := SqrtFloor(x)
+		s := sqrtFloor(x)
 		want := new(big.Int).Sqrt(toBig(x))
 		if toBig(s).Cmp(want) != 0 {
-			t.Fatalf("SqrtFloor(%v) = %v, want %v", toBig(x), toBig(s), want)
+			t.Fatalf("SqrtRem(%v) root = %v, want %v", toBig(x), toBig(s), want)
 		}
 	}
 }
 
 func TestSqrtFloorSmall(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
-		s := SqrtFloor(FromUint64(i))
+		s := sqrtFloor(Nat{i}.Norm())
 		got, _ := s.Uint64()
-		want := uint64(isqrt64(i))
+		want := new(big.Int).Sqrt(new(big.Int).SetUint64(i)).Uint64()
 		if got != want {
-			t.Errorf("SqrtFloor(%d) = %d, want %d", i, got, want)
+			t.Errorf("SqrtRem(%d) root = %d, want %d", i, got, want)
 		}
 	}
 	// Perfect squares and off-by-one neighbors.
-	for _, v := range []uint64{1 << 52, 1<<52 - 1, 1<<52 + 1, 1 << 62} {
-		s := SqrtFloor(FromUint64(v))
+	for _, v := range []uint64{1 << 52, 1<<52 - 1, 1<<52 + 1, 1 << 62, 1<<64 - 1, (1<<32 - 1) * (1<<32 - 1), (1<<32-1)*(1<<32-1) - 1} {
+		s := sqrtFloor(Nat{v}.Norm())
 		want := new(big.Int).Sqrt(new(big.Int).SetUint64(v))
 		if toBig(s).Cmp(want) != 0 {
-			t.Errorf("SqrtFloor(%d) wrong", v)
+			t.Errorf("SqrtRem(%d) root wrong", v)
 		}
 	}
 }
@@ -342,9 +351,11 @@ func TestCloneIndependence(t *testing.T) {
 func BenchmarkMulSchoolbook(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
 	x, y := randNat(r, 16), randNat(r, 16)
+	var z Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(x, y)
+		z = z.Mul(x, y)
 	}
 }
 
@@ -354,9 +365,11 @@ func BenchmarkMulKaratsuba(b *testing.B) {
 	for i := range x {
 		x[i], y[i] = r.Uint64(), r.Uint64()
 	}
+	var z Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(x, y)
+		z = z.Mul(x, y)
 	}
 }
 
@@ -370,9 +383,11 @@ func BenchmarkDivMod(b *testing.B) {
 		y[i] = r.Uint64()
 	}
 	y[15] |= 1 << 63
+	var q, rem Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DivMod(x, y)
+		q, rem = q.DivMod(rem, x, y)
 	}
 }
 
@@ -383,13 +398,13 @@ func TestSqrProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 400; i++ {
 		x := randNat(r, 6)
-		if toBig(Sqr(x)).Cmp(new(big.Int).Mul(toBig(x), toBig(x))) != 0 {
+		if toBig(Nat(nil).Sqr(x)).Cmp(new(big.Int).Mul(toBig(x), toBig(x))) != 0 {
 			t.Fatalf("Sqr(%v) wrong (schoolbook)", toBig(x))
 		}
 	}
 	for i := 0; i < 40; i++ {
 		x := randNat(r, 90)
-		if toBig(Sqr(x)).Cmp(new(big.Int).Mul(toBig(x), toBig(x))) != 0 {
+		if toBig(Nat(nil).Sqr(x)).Cmp(new(big.Int).Mul(toBig(x), toBig(x))) != 0 {
 			t.Fatalf("Sqr wrong at %d limbs (karatsuba)", len(x))
 		}
 	}
@@ -407,7 +422,7 @@ func TestSqrMatchesMul(t *testing.T) {
 			x[i] = r.Uint64()
 		}
 		x = x.Norm()
-		if Sqr(x).Cmp(Mul(x, x)) != 0 {
+		if Nat(nil).Sqr(x).Cmp(Nat(nil).Mul(x, x)) != 0 {
 			t.Fatalf("Sqr != Mul(x,x) at %d limbs", n)
 		}
 	}
@@ -417,7 +432,7 @@ func TestSqrMatchesMul(t *testing.T) {
 		for i := range x {
 			x[i] = ^uint64(0)
 		}
-		if Sqr(x).Cmp(Mul(x, x)) != 0 {
+		if Nat(nil).Sqr(x).Cmp(Nat(nil).Mul(x, x)) != 0 {
 			t.Fatalf("Sqr != Mul(x,x) for all-ones at %d limbs", n)
 		}
 	}
@@ -429,9 +444,11 @@ func BenchmarkSqrSchoolbook(b *testing.B) {
 	for i := range x {
 		x[i] = r.Uint64()
 	}
+	var z Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sqr(x)
+		z = z.Sqr(x)
 	}
 }
 
@@ -441,9 +458,11 @@ func BenchmarkSqrViaMul16(b *testing.B) {
 	for i := range x {
 		x[i] = r.Uint64()
 	}
+	var z Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(x, x)
+		z = z.Mul(x, x)
 	}
 }
 
@@ -453,9 +472,11 @@ func BenchmarkSqrKaratsuba(b *testing.B) {
 	for i := range x {
 		x[i] = r.Uint64()
 	}
+	var z Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sqr(x)
+		z = z.Sqr(x)
 	}
 }
 
@@ -465,8 +486,10 @@ func BenchmarkSqrViaMul128(b *testing.B) {
 	for i := range x {
 		x[i] = r.Uint64()
 	}
+	var z Nat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Mul(x, x)
+		z = z.Mul(x, x)
 	}
 }

@@ -254,15 +254,16 @@ func (c Config) FromMPFR(f *mpfr.Float, sticky bool) Posit {
 	// tracking the total length. The fraction is the mantissa without its
 	// leading bit.
 	fracLen := uint(mant.BitLen() - 1)
-	frac := mpnat.Sub(mant, mpnat.Shl(mpnat.Nat{1}, fracLen)) // drop hidden bit
+	frac := mpnat.Nat(nil).Sub(mant, mpnat.Nat(nil).Shl(mpnat.Nat{1}, fracLen)) // drop hidden bit
 
 	var pattern mpnat.Nat
 	var length uint
 	if k >= 0 {
 		// k+1 ones then a zero.
 		runLen := uint(k) + 1
-		pattern = mpnat.Sub(mpnat.Shl(mpnat.Nat{1}, runLen), mpnat.Nat{1}) // 1s
-		pattern = mpnat.Shl(pattern, 1)                                    // terminator 0
+		pattern = mpnat.Nat(nil).Shl(mpnat.Nat{1}, runLen)
+		pattern = pattern.SubWord(pattern, 1) // 1s
+		pattern = pattern.Shl(pattern, 1)     // terminator 0
 		length = runLen + 1
 	} else {
 		// -k zeros then a one.
@@ -270,12 +271,12 @@ func (c Config) FromMPFR(f *mpfr.Float, sticky bool) Posit {
 		length = uint(-k) + 1
 	}
 	// Exponent bits.
-	pattern = mpnat.Shl(pattern, c.ES)
-	pattern = mpnat.Add(pattern, mpnat.FromUint64(e))
+	pattern = pattern.Shl(pattern, c.ES)
+	pattern = pattern.AddWord(pattern, e)
 	length += c.ES
 	// Fraction bits.
-	pattern = mpnat.Shl(pattern, fracLen)
-	pattern = mpnat.Add(pattern, frac)
+	pattern = pattern.Shl(pattern, fracLen)
+	pattern = pattern.Add(pattern, frac)
 	length += fracLen
 	// Sign bit position: total value bits available are NBits-1.
 	avail := c.NBits - 1
@@ -284,11 +285,11 @@ func (c Config) FromMPFR(f *mpfr.Float, sticky bool) Posit {
 	if length <= avail {
 		// Everything fits; shift into place, no rounding (sticky bits are
 		// strictly below the last kept bit and the guard bit is zero).
-		shifted := mpnat.Shl(pattern, avail-length)
+		shifted := mpnat.Nat(nil).Shl(pattern, avail-length)
 		bits, _ = shifted.Uint64()
 	} else {
 		cut := length - avail
-		kept := mpnat.Shr(pattern, cut)
+		kept := mpnat.Nat(nil).Shr(pattern, cut)
 		bits, _ = kept.Uint64()
 		guard := pattern.Bit(int(cut)-1) == 1
 		stickyLow := sticky

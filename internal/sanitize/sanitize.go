@@ -188,7 +188,7 @@ type triple struct {
 // and for everything once the report is truncated.
 func (s *Sanitizer) seed(p arith.Value) triple {
 	pf := s.primary.ToFloat64(p)
-	return triple{p: p, hi: s.hi.FromFloat64(pf), iv: arith.Interval{Lo: pf, Hi: pf}, blameIdx: -1}
+	return triple{p: p, hi: s.hi.FromFloat64(nil, pf), iv: arith.Interval{Lo: pf, Hi: pf}, blameIdx: -1}
 }
 
 // system is the wrapping arith.System. All architectural semantics and
@@ -211,15 +211,17 @@ func (w system) tr(v arith.Value) triple {
 }
 
 // Apply computes the primary result, advances both shadows, and observes
-// the step. After truncation only the primary is computed.
-func (w system) Apply(op arith.Op, args ...arith.Value) arith.Value {
+// the step. After truncation only the primary is computed. Triples are
+// immutable, so dst is not recycled.
+func (w system) Apply(_ arith.Value, op arith.Op, x, y, z arith.Value) arith.Value {
 	s := w.s
+	args := [...]arith.Value{x, y, z}
 	var pa, ha, ia [3]arith.Value
 	var depth uint8
 	// Inherit the worst-lost argument's blame: if this op does not amplify
 	// the error further, the flag (if any) belongs to that earlier site.
 	blameIdx, blamePC, blameLost := int32(-1), uint64(0), 0.0
-	n := len(args)
+	n := op.Arity()
 	for i := 0; i < n; i++ {
 		t := w.tr(args[i])
 		pa[i], ha[i], ia[i] = t.p, t.hi, t.iv
@@ -230,12 +232,12 @@ func (w system) Apply(op arith.Op, args ...arith.Value) arith.Value {
 			blameIdx, blamePC, blameLost = t.blameIdx, t.blamePC, t.blameLost
 		}
 	}
-	p := s.primary.Apply(op, pa[:n]...)
+	p := s.primary.Apply(nil, op, pa[0], pa[1], pa[2])
 	if s.truncated {
 		return s.seed(p)
 	}
-	h := s.hi.Apply(op, ha[:n]...)
-	iv := contain(s.primary.ToFloat64(p), widen(op, s.ivs.Apply(op, ia[:n]...).(arith.Interval)))
+	h := s.hi.Apply(nil, op, ha[0], ha[1], ha[2])
+	iv := contain(s.primary.ToFloat64(p), widen(op, s.ivs.Apply(nil, op, ia[0], ia[1], ia[2]).(arith.Interval)))
 	out := triple{p: p, hi: h, iv: iv, depth: depth,
 		blameIdx: blameIdx, blamePC: blamePC, blameLost: blameLost}
 	s.observe(op, pa[:n], &out)
@@ -246,14 +248,14 @@ func (w system) Apply(op arith.Op, args ...arith.Value) arith.Value {
 // starts from the double itself (so a lossy primary's promotion rounding is
 // part of what the sanitizer measures); the enclosure starts as the point
 // interval of the primary value, preserving the containment invariant.
-func (w system) FromFloat64(v float64) arith.Value {
+func (w system) FromFloat64(_ arith.Value, v float64) arith.Value {
 	s := w.s
-	p := s.primary.FromFloat64(v)
+	p := s.primary.FromFloat64(nil, v)
 	if s.truncated {
 		return s.seed(p)
 	}
 	pf := s.primary.ToFloat64(p)
-	return triple{p: p, hi: s.hi.FromFloat64(v), iv: arith.Interval{Lo: pf, Hi: pf}, blameIdx: -1}
+	return triple{p: p, hi: s.hi.FromFloat64(nil, v), iv: arith.Interval{Lo: pf, Hi: pf}, blameIdx: -1}
 }
 
 // ToFloat64 demotes the primary value.
@@ -261,14 +263,14 @@ func (w system) ToFloat64(v arith.Value) float64 { return w.s.primary.ToFloat64(
 
 // FromInt64 promotes an integer; the shadow conversion is exact even where
 // the primary rounds (|i| >= 2^53).
-func (w system) FromInt64(i int64) arith.Value {
+func (w system) FromInt64(_ arith.Value, i int64) arith.Value {
 	s := w.s
-	p := s.primary.FromInt64(i)
+	p := s.primary.FromInt64(nil, i)
 	if s.truncated {
 		return s.seed(p)
 	}
 	pf := s.primary.ToFloat64(p)
-	return triple{p: p, hi: s.hi.FromInt64(i), iv: arith.Interval{Lo: pf, Hi: pf}, blameIdx: -1}
+	return triple{p: p, hi: s.hi.FromInt64(nil, i), iv: arith.Interval{Lo: pf, Hi: pf}, blameIdx: -1}
 }
 
 // ToInt64 converts the primary value with the primary's semantics. The

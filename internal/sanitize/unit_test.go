@@ -206,16 +206,16 @@ func TestNewDefaults(t *testing.T) {
 
 func TestSystemDelegation(t *testing.T) {
 	_, w := directSanitizer(Options{})
-	if !w.IsNaN(w.FromFloat64(math.NaN())) {
+	if !w.IsNaN(w.FromFloat64(nil, math.NaN())) {
 		t.Error("IsNaN lost a NaN")
 	}
-	if w.IsNaN(w.FromFloat64(1)) {
+	if w.IsNaN(w.FromFloat64(nil, 1)) {
 		t.Error("IsNaN invented a NaN")
 	}
-	if got := w.ToFloat64(w.FromFloat64(2.5)); got != 2.5 {
+	if got := w.ToFloat64(w.FromFloat64(nil, 2.5)); got != 2.5 {
 		t.Errorf("round-trip = %g", got)
 	}
-	v, ok := w.ToInt64(w.FromInt64(7), fpu.RCNearest)
+	v, ok := w.ToInt64(w.FromInt64(nil, 7), fpu.RCNearest)
 	if !ok || v != 7 {
 		t.Errorf("int round-trip = %d, %v", v, ok)
 	}
@@ -223,11 +223,11 @@ func TestSystemDelegation(t *testing.T) {
 		t.Error("OpCycles does not delegate to the primary")
 	}
 	// A foreign (unwrapped) value is adopted as its own seed.
-	raw := arith.Vanilla{}.FromFloat64(9)
+	raw := arith.Vanilla{}.FromFloat64(nil, 9)
 	if got := w.ToFloat64(raw); got != 9 {
 		t.Errorf("foreign value = %g, want 9", got)
 	}
-	sum := w.Apply(arith.OpAdd, raw, w.FromFloat64(1))
+	sum := w.Apply(nil, arith.OpAdd, raw, w.FromFloat64(nil, 1), nil)
 	if got := w.ToFloat64(sum); got != 10 {
 		t.Errorf("foreign operand sum = %g, want 10", got)
 	}
@@ -235,7 +235,7 @@ func TestSystemDelegation(t *testing.T) {
 
 func TestBoundaryFlagging(t *testing.T) {
 	s, _ := directSanitizer(Options{ThresholdBits: 20})
-	lossy := triple{p: arith.Vanilla{}.FromFloat64(1), blameIdx: 3, blamePC: 0x99, blameLost: 30}
+	lossy := triple{p: arith.Vanilla{}.FromFloat64(nil, 1), blameIdx: 3, blamePC: 0x99, blameLost: 30}
 
 	// Below threshold: no flag.
 	s.boundary(triple{p: lossy.p, blameIdx: 3, blamePC: 0x99, blameLost: 10})
@@ -282,8 +282,8 @@ func TestBoundaryTelemetry(t *testing.T) {
 	s.SetSite(2, 0x40)
 	// A compare on a hand-made lossy value reaches the boundary through the
 	// public seam (both arguments are checked).
-	lossy := triple{p: arith.Vanilla{}.FromFloat64(1), blameIdx: 2, blamePC: 0x40, blameLost: 30}
-	w.Compare(lossy, w.FromFloat64(0))
+	lossy := triple{p: arith.Vanilla{}.FromFloat64(nil, 1), blameIdx: 2, blamePC: 0x40, blameLost: 30}
+	w.Compare(lossy, w.FromFloat64(nil, 0))
 	sites := c.Sites()
 	if len(sites) < 3 || !sites[2].SanFlagged {
 		t.Fatalf("telemetry site 2 not flagged: %+v", sites)
@@ -305,7 +305,7 @@ func TestTruncationSeedsApply(t *testing.T) {
 	if !s.Truncated() {
 		t.Fatal("Truncate did not stick")
 	}
-	out := w.Apply(arith.OpAdd, w.FromFloat64(1), w.FromFloat64(2))
+	out := w.Apply(nil, arith.OpAdd, w.FromFloat64(nil, 1), w.FromFloat64(nil, 2), nil)
 	tr, ok := out.(triple)
 	if !ok {
 		t.Fatalf("truncated Apply returned %T", out)
@@ -317,13 +317,13 @@ func TestTruncationSeedsApply(t *testing.T) {
 		t.Errorf("truncated result not seeded: %+v", tr)
 	}
 	// Promotions and outputs also degrade to seeds / no-ops.
-	if p := w.FromFloat64(5).(triple); p.blameIdx != -1 || p.iv.Lo != 5 {
+	if p := w.FromFloat64(nil, 5).(triple); p.blameIdx != -1 || p.iv.Lo != 5 {
 		t.Errorf("truncated FromFloat64 not seeded: %+v", p)
 	}
-	if p := w.FromInt64(6).(triple); p.blameIdx != -1 || p.iv.Lo != 6 {
+	if p := w.FromInt64(nil, 6).(triple); p.blameIdx != -1 || p.iv.Lo != 6 {
 		t.Errorf("truncated FromInt64 not seeded: %+v", p)
 	}
-	if got := w.Format(w.FromFloat64(7)); got != "7" {
+	if got := w.Format(w.FromFloat64(nil, 7)); got != "7" {
 		t.Errorf("truncated Format = %q", got)
 	}
 	rep := s.Snapshot()
@@ -338,7 +338,7 @@ func TestTruncationSeedsApply(t *testing.T) {
 func TestCertifyOutputCap(t *testing.T) {
 	s, w := directSanitizer(Options{Certify: true, MaxOutputs: 2})
 	for i := 0; i < 5; i++ {
-		w.Format(w.FromFloat64(float64(i)))
+		w.Format(w.FromFloat64(nil, float64(i)))
 	}
 	c := s.Snapshot().Certification
 	if len(c.Outputs) != 2 || c.Dropped != 3 {
@@ -352,7 +352,7 @@ func TestCertifyOutputCap(t *testing.T) {
 func TestResetReuse(t *testing.T) {
 	s, w := directSanitizer(Options{Prec: 96, Certify: true})
 	s.SetSite(0, 0x10)
-	w.Format(w.Apply(arith.OpAdd, w.FromFloat64(1), w.FromFloat64(2)))
+	w.Format(w.Apply(nil, arith.OpAdd, w.FromFloat64(nil, 1), w.FromFloat64(nil, 2), nil))
 	s.Truncate()
 	if rep := s.Snapshot(); rep.Samples != 1 || len(rep.Sites) != 1 {
 		t.Fatalf("pre-reset snapshot: %+v", rep)
@@ -368,7 +368,7 @@ func TestResetReuse(t *testing.T) {
 	}
 	// The recycled sanitizer still works.
 	s.SetSite(0, 0x20)
-	out := w.Apply(arith.OpMul, w.FromFloat64(3), w.FromFloat64(4))
+	out := w.Apply(nil, arith.OpMul, w.FromFloat64(nil, 3), w.FromFloat64(nil, 4), nil)
 	if got := w.ToFloat64(out); got != 12 {
 		t.Errorf("post-reset Apply = %g", got)
 	}
@@ -382,9 +382,9 @@ func TestReportWrite(t *testing.T) {
 	s.SetSite(0, 0x10)
 	// A genuine catastrophic cancellation: (1+2^-30) - 1 under a shadow that
 	// sees the exact result.
-	a := w.Apply(arith.OpAdd, w.FromFloat64(1), w.FromFloat64(math.Ldexp(1, -30)))
+	a := w.Apply(nil, arith.OpAdd, w.FromFloat64(nil, 1), w.FromFloat64(nil, math.Ldexp(1, -30)), nil)
 	s.SetSite(1, 0x18)
-	d := w.Apply(arith.OpSub, a, w.FromFloat64(1))
+	d := w.Apply(nil, arith.OpSub, a, w.FromFloat64(nil, 1), nil)
 	w.Format(d)
 
 	rep := s.Snapshot()
@@ -411,7 +411,7 @@ func TestReportWrite(t *testing.T) {
 	manyS, manyW := directSanitizer(Options{})
 	for i := 0; i < 5; i++ {
 		manyS.SetSite(i, uint64(0x100+8*i))
-		manyW.Apply(arith.OpAdd, manyW.FromFloat64(1), manyW.FromFloat64(float64(i)))
+		manyW.Apply(nil, arith.OpAdd, manyW.FromFloat64(nil, 1), manyW.FromFloat64(nil, float64(i)), nil)
 	}
 	sb.Reset()
 	many := manyS.Snapshot()

@@ -320,6 +320,66 @@ func BenchmarkSessionReuse(b *testing.B) {
 	}
 }
 
+// mpfrLoopSrc is an output-free MPFR workload: every instruction in the
+// loop body rounds, so each one is emulated, and its constants are plain
+// doubles promoted on every use.
+const mpfrLoopSrc = `
+	mov r0, $0
+	movsd f0, =1.0
+loop:
+	mulsd f0, =1.0000001
+	addsd f0, =0.1
+	divsd f0, =1.0000003
+	sqrtsd f1, f0
+	addsd f1, f0
+	inc r0
+	cmp r0, $1024
+	jl loop
+	halt
+`
+
+// TestWarmMPFREmulationAllocationFree is the VM-level allocation gate of
+// the MPFR-200 path: on a warm session, emulating an operation — promotion,
+// arithmetic, shadow-cell allocation, collection — allocates nothing. The
+// run as a whole still allocates one trap frame per delivery or superblock
+// entry (the machine's frame escapes to the heap; a separate problem) and a
+// few objects for the Result, so the gate is that allocations beyond those
+// stay a small constant while thousands of operations are emulated.
+func TestWarmMPFREmulationAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race (sync.Pool drops objects)")
+	}
+	prog, err := asm.Assemble(mpfrLoopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Config{System: arith.NewMPFR(200), MemSize: testMemSize, GCEveryNAllocs: 1000}
+	jit := base
+	jit.MaxSequenceLen, jit.JITThreshold = 16, 4
+	for name, cfg := range map[string]Config{"interp": base, "jit": jit} {
+		s := New()
+		var res Result
+		for i := 0; i < 3; i++ { // warm: arena cells, promotion scratch, mpfr scratch
+			if res, err = s.Run(prog, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res.VM.GC.Passes == 0 || res.VM.Promotions == 0 {
+			t.Fatalf("%s: loop did not exercise collection (%d passes) and promotion (%d)", name, res.VM.GC.Passes, res.VM.Promotions)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := s.Run(prog, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		frames := float64(res.Machine.FPTraps + res.Machine.SBHits)
+		if extra := allocs - frames; extra > 8 {
+			t.Errorf("%s: %v allocs per run beyond %v trap frames, over %d emulated ops; want a small constant (0 per op)",
+				name, extra, frames, res.VM.Emulated)
+		}
+	}
+}
+
 // TestBudgetDegradesNeverKills pins the quota contract end to end: a run
 // that exhausts its instruction budget is harvested, not failed.
 func TestBudgetDegradesNeverKills(t *testing.T) {
