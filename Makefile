@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRawExecution$$' -fuzztime $(FUZZTIME) ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/sanitize
 	$(GO) test -run '^$$' -fuzz '^FuzzMPNat$$' -fuzztime $(FUZZTIME) ./internal/mpnat
+	$(GO) test -run '^$$' -fuzz '^FuzzFMAdd$$' -fuzztime $(FUZZTIME) ./internal/fpu
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -45,7 +45,8 @@ func bf(v Value) float64 { return v.(float64) }
 
 // Apply computes in double and rounds once to bfloat16.
 func (s BFloat16System) Apply(_ Value, op Op, x, y, w Value) Value {
-	return roundBF16(Vanilla{}.Apply(nil, op, x, y, w).(float64))
+	a, b, c := ieeeArgs(op, x, y, w)
+	return roundBF16(EvalIEEE(op, a, b, c).Value)
 }
 
 // FromFloat64 promotes (i.e. rounds to the bfloat16 lattice).

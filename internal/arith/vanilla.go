@@ -18,77 +18,96 @@ var _ System = Vanilla{}
 // Name returns "vanilla".
 func (Vanilla) Name() string { return "vanilla" }
 
-// Apply evaluates op in IEEE binary64 by dispatching to the same software
-// FPU kernels the native machine executes. Going through fpu (rather than
-// bare Go expressions) makes the §5.2 bit-exactness guarantee hold by
-// construction, NaN payloads included: the differential oracle caught Go's
-// math package producing a different quiet-NaN payload (0x7FF8…001) than
-// the x64 indefinite QNaN the machine propagates.
+// Apply evaluates op in IEEE binary64 through EvalIEEE. Going through the
+// software FPU (rather than bare Go expressions) makes the §5.2
+// bit-exactness guarantee hold by construction, NaN payloads included: the
+// differential oracle caught Go's math package producing a different
+// quiet-NaN payload (0x7FF8…001) than the x64 indefinite QNaN the machine
+// propagates.
 func (Vanilla) Apply(_ Value, op Op, x, y, w Value) Value {
-	args := [...]Value{x, y, w}
-	a := func(i int) float64 { return args[i].(float64) }
-	var r fpu.Result
+	a, b, c := ieeeArgs(op, x, y, w)
+	return EvalIEEE(op, a, b, c).Value
+}
+
+// ieeeArgs unboxes the float64 operands op consumes; the rest read as 0.
+func ieeeArgs(op Op, x, y, w Value) (a, b, c float64) {
+	switch op.Arity() {
+	case 3:
+		c = w.(float64)
+		fallthrough
+	case 2:
+		b = y.(float64)
+	}
+	return x.(float64), b, c
+}
+
+// EvalIEEE evaluates op on binary64 operands with the native machine's
+// semantics — the same software FPU kernels, x64 NaN propagation included —
+// and returns the rounded result with the exception flags it raises.
+// Operands beyond op.Arity() are ignored. An unknown op yields the default
+// quiet NaN with IE. It is the one binary64 evaluator behind Vanilla,
+// bfloat16, the patch-mode postcondition check and FPSpy.
+func EvalIEEE(op Op, x, y, w float64) fpu.Result {
 	switch op {
 	case OpAdd:
-		r = fpu.Add(a(0), a(1))
+		return fpu.Add(x, y)
 	case OpSub:
-		r = fpu.Sub(a(0), a(1))
+		return fpu.Sub(x, y)
 	case OpMul:
-		r = fpu.Mul(a(0), a(1))
+		return fpu.Mul(x, y)
 	case OpDiv:
-		r = fpu.Div(a(0), a(1))
+		return fpu.Div(x, y)
 	case OpSqrt:
-		r = fpu.Sqrt(a(0))
+		return fpu.Sqrt(x)
 	case OpFMA:
-		r = fpu.FMAdd(a(0), a(1), a(2))
+		return fpu.FMAdd(x, y, w)
 	case OpMin:
-		r = fpu.Min(a(0), a(1))
+		return fpu.Min(x, y)
 	case OpMax:
-		r = fpu.Max(a(0), a(1))
+		return fpu.Max(x, y)
 	case OpAbs:
-		r = fpu.Fabs(a(0))
+		return fpu.Fabs(x)
 	case OpNeg:
-		r = fpu.Fneg(a(0))
+		return fpu.Fneg(x)
 	case OpSin:
-		r = fpu.Fsin(a(0))
+		return fpu.Fsin(x)
 	case OpCos:
-		r = fpu.Fcos(a(0))
+		return fpu.Fcos(x)
 	case OpTan:
-		r = fpu.Ftan(a(0))
+		return fpu.Ftan(x)
 	case OpAsin:
-		r = fpu.Fasin(a(0))
+		return fpu.Fasin(x)
 	case OpAcos:
-		r = fpu.Facos(a(0))
+		return fpu.Facos(x)
 	case OpAtan:
-		r = fpu.Fatan(a(0))
+		return fpu.Fatan(x)
 	case OpAtan2:
-		r = fpu.Fatan2(a(0), a(1))
+		return fpu.Fatan2(x, y)
 	case OpExp:
-		r = fpu.Fexp(a(0))
+		return fpu.Fexp(x)
 	case OpLog:
-		r = fpu.Flog(a(0))
+		return fpu.Flog(x)
 	case OpLog2:
-		r = fpu.Flog2(a(0))
+		return fpu.Flog2(x)
 	case OpLog10:
-		r = fpu.Flog10(a(0))
+		return fpu.Flog10(x)
 	case OpPow:
-		r = fpu.Fpow(a(0), a(1))
+		return fpu.Fpow(x, y)
 	case OpMod:
-		r = fpu.Fmod(a(0), a(1))
+		return fpu.Fmod(x, y)
 	case OpHypot:
-		r = fpu.Fhypot(a(0), a(1))
+		return fpu.Fhypot(x, y)
 	case OpFloor:
-		r = fpu.Ffloor(a(0))
+		return fpu.Ffloor(x)
 	case OpCeil:
-		r = fpu.Fceil(a(0))
+		return fpu.Fceil(x)
 	case OpRound:
-		r = fpu.Fround(a(0))
+		return fpu.Fround(x)
 	case OpTrunc:
-		r = fpu.Ftrunc(a(0))
+		return fpu.Ftrunc(x)
 	default:
-		panic("vanilla: bad op " + op.String())
+		return fpu.Result{Value: math.Float64frombits(fpu.QNaN()), Flags: fpu.FlagInvalid}
 	}
-	return r.Value
 }
 
 // FromFloat64 promotes an IEEE double (identity for Vanilla).

@@ -5,9 +5,9 @@
 // trap-and-emulate engine (§4.1 of the paper).
 //
 // Inexact (PE) detection uses error-free transforms: 2Sum residuals for
-// add/sub, FMA residuals for mul/div/sqrt, falling back to exact
-// big.Float comparison on subnormal edge cases where the residual itself
-// can underflow.
+// add/sub, FMA residuals for mul/div/sqrt, Boldo–Muller ErrFma for fmadd,
+// falling back to exact big.Float comparison on subnormal edge cases where
+// the residual itself can underflow.
 package fpu
 
 import (
@@ -243,13 +243,13 @@ func Sub(a, b float64) Result {
 	return Result{s, f | postFlags(s, addInexact(a, -b, s))}
 }
 
-// addInexact reports whether s != a+b exactly, using the 2Sum error term.
+// addInexact reports whether s = RN(a+b) differs from a+b, using the 2Sum
+// error term.
 func addInexact(a, b, s float64) bool {
 	if isInff(s) {
 		return true
 	}
-	t := s - a
-	err := (a - (s - t)) + (b - t)
+	_, err := twoSum(a, b)
 	return err != 0
 }
 
@@ -379,10 +379,74 @@ func FMAdd(a, b, c float64) Result {
 	if isInff(a) || isInff(b) || isInff(c) {
 		return Result{r, f}
 	}
-	// Exactness: compare against exact product-and-sum.
-	exact := new(big.Float).SetPrec(300)
-	exact.Mul(new(big.Float).SetPrec(300).SetFloat64(a), new(big.Float).SetPrec(300).SetFloat64(b))
-	exact.Add(exact, new(big.Float).SetPrec(300).SetFloat64(c))
-	inexact := !exactBig(r, exact)
-	return Result{r, f | postFlags(r, inexact)}
+	return Result{r, f | postFlags(r, fmaInexact(a, b, c, r))}
+}
+
+// Exponent window of the FMA error-free transform. Below errFmaTiny the
+// product's rounding error or the result can be subnormal, where the
+// transform's error terms lose bits; above errFmaHuge an intermediate sum
+// can overflow. Both bounds sit well inside the proven range.
+const (
+	errFmaTiny = 0x1p-960
+	errFmaHuge = 0x1p1000
+)
+
+// fmaInexact reports whether r = RN(a*b + c) differs from the exact value,
+// for finite a, b, c. Inside the transform's exponent window it runs
+// Boldo–Muller ErrFma ("Exact and Approximated Error of the FMA", IEEE TC
+// 2011): with TwoProd by FMA and two TwoSums, a*b + c = r + r2 + r3
+// exactly, so r is exact iff r2 and r3 are both zero. Outside the window it
+// decides with exact big.Float arithmetic.
+func fmaInexact(a, b, c, r float64) bool {
+	if isInff(r) {
+		return true
+	}
+	u1 := float64(a * b)
+	ar, au, ac := math.Abs(r), math.Abs(u1), math.Abs(c)
+	tiny := (ar != 0 && ar < errFmaTiny) || (a != 0 && b != 0 && au < errFmaTiny)
+	if tiny || ar > errFmaHuge || au > errFmaHuge || ac > errFmaHuge {
+		return fmaInexactBig(a, b, c, r)
+	}
+	u2 := math.FMA(a, b, -u1) // TwoProd: a*b = u1 + u2
+	a1, a2 := twoSum(c, u2)
+	b1, b2 := twoSum(u1, a1)
+	g := float64(b1-r) + b2
+	r2 := g + a2 // Fast2Sum(g, a2)
+	r3 := a2 - (r2 - g)
+	return r2 != 0 || r3 != 0
+}
+
+// twoSum returns s = RN(x + y) and the exact rounding error e = x + y − s
+// (Knuth's branch-free 2Sum).
+func twoSum(x, y float64) (s, e float64) {
+	s = x + y
+	t := s - x
+	e = (x - (s - t)) + (y - t)
+	return s, e
+}
+
+// fmaInexactBig is fmaInexact's exact slow path. The product of two 53-bit
+// significands is exact in 106 bits; the sum is carried at a precision
+// spanning from the highest bit of either term to the lowest, so no addend,
+// however far below the product, is rounded away.
+func fmaInexactBig(a, b, c, r float64) bool {
+	p := new(big.Float).SetPrec(106).SetFloat64(a)
+	p.Mul(p, new(big.Float).SetFloat64(b))
+	bc := new(big.Float).SetFloat64(c)
+	hi, lo := 0, 0
+	if p.Sign() != 0 {
+		e := p.MantExp(nil)
+		hi, lo = e, e-106
+	}
+	if c != 0 {
+		_, e := math.Frexp(c)
+		if p.Sign() == 0 {
+			hi, lo = e, e-53
+		} else {
+			hi, lo = max(hi, e), min(lo, e-53)
+		}
+	}
+	sum := new(big.Float).SetPrec(uint(hi-lo) + 2)
+	sum.Add(p, bc)
+	return new(big.Float).SetFloat64(r).Cmp(sum) != 0
 }

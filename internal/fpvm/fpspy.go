@@ -21,9 +21,8 @@ type Spy struct {
 	M     *machine.Machine
 	Stats SpyStats
 
-	costs   Costs
-	dcache  []*decodedInst // decode cache, one slot per instruction index
-	scratch [3]arith.Value
+	costs  Costs
+	dcache []*decodedInst // decode cache, one slot per instruction index
 }
 
 // SpyStats aggregates the recorded floating point events.
@@ -73,11 +72,10 @@ func (s *Spy) handle(f *machine.TrapFrame) error {
 
 	// Retire the instruction with IEEE results (the masked response the
 	// hardware would have produced had FPSpy not unmasked the exception).
-	van := arith.Vanilla{}
 	switch d.kind {
 	case kindArith:
 		for lane := 0; lane < d.lanes; lane++ {
-			args := &s.scratch
+			var args [3]float64
 			for i, src := range d.srcs {
 				bits, err := f.M.ReadOperandFP(src, lane)
 				if err != nil {
@@ -85,7 +83,7 @@ func (s *Spy) handle(f *machine.TrapFrame) error {
 				}
 				args[i] = quietIEEE(bits)
 			}
-			res := van.Apply(nil, d.aop, args[0], args[1], args[2]).(float64)
+			res := arith.EvalIEEE(d.aop, args[0], args[1], args[2]).Value
 			if err := f.M.WriteOperandFP(d.dst, lane, math.Float64bits(res)); err != nil {
 				return err
 			}

@@ -96,12 +96,13 @@ func (vm *VM) patchDegrade(f *machine.TrapFrame, err error) (bool, error) {
 }
 
 // tryNative executes an arithmetic instruction in IEEE doubles; it reports
-// ok=false (without side effects) if any postcondition event fired.
+// ok=false (without side effects) if any postcondition event fired. One
+// EvalIEEE call per lane yields both the flags the check reads and the
+// result it retires.
 func (vm *VM) tryNative(f *machine.TrapFrame, d *decodedInst) (bool, error) {
-	van := arith.Vanilla{}
 	var results [2]uint64
 	for lane := 0; lane < d.lanes; lane++ {
-		args := vm.scratch[:len(d.srcs)]
+		var args [3]float64
 		for i, s := range d.srcs {
 			bits, err := f.M.ReadOperandFP(s, lane)
 			if err != nil {
@@ -109,11 +110,11 @@ func (vm *VM) tryNative(f *machine.TrapFrame, d *decodedInst) (bool, error) {
 			}
 			args[i] = math.Float64frombits(bits)
 		}
-		flags := nativeFlags(d.aop, args)
-		if flags != 0 {
+		r := arith.EvalIEEE(d.aop, args[0], args[1], args[2])
+		if r.Flags != 0 {
 			return false, nil // postcondition failed: emulate instead
 		}
-		results[lane] = math.Float64bits(van.Apply(nil, d.aop, vm.scratch[0], vm.scratch[1], vm.scratch[2]).(float64))
+		results[lane] = math.Float64bits(r.Value)
 	}
 	for lane := 0; lane < d.lanes; lane++ {
 		if err := f.M.WriteOperandFP(d.dst, lane, results[lane]); err != nil {

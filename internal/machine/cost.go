@@ -40,8 +40,9 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// opCost returns the base cost of executing op natively.
-func (c CostModel) opCost(op isa.Op) uint64 {
+// opCost returns the base cost of executing op natively. The pointer
+// receiver keeps the dispatch loop from copying the model per instruction.
+func (c *CostModel) opCost(op isa.Op) uint64 {
 	switch op {
 	case isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpNot,
 		isa.OpNeg, isa.OpShl, isa.OpShr, isa.OpSar, isa.OpCmp, isa.OpTest,

@@ -48,7 +48,8 @@ func stepMap(m *Machine, decoded map[uint64]isa.Inst,
 	if ph := patches[m.RIP]; ph != nil {
 		m.Cycles += m.Cost.PatchCheck
 		m.Stats.PatchInvokes++
-		handled, err := ph(&TrapFrame{M: m, Cause: CauseFPException, Inst: in, Idx: m.curIdx})
+		handled, err := ph(m.pushFrame(CauseFPException, in, m.curIdx, 0, 0))
+		m.popFrame()
 		if err != nil {
 			return err
 		}
@@ -91,4 +92,26 @@ func BenchmarkStepDispatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTrapDelivery measures one guest run of trapLoopSrc: 1,000 FP-trap
+// deliveries to a no-op handler, or 1,000 patch entries. -benchmem must
+// report 0 allocs/op.
+func BenchmarkTrapDelivery(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		patched bool
+	}{{"trap", false}, {"patch", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			m, arm := newTrapLoop(b, c.patched)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arm()
+				if err := m.Run(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

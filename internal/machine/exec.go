@@ -80,8 +80,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 	// original instruction is then re-executed natively (§4.2).
 	if slot.hasSite && m.CorrectnessTrap != nil {
 		m.Stats.CorrectTraps++
-		f := &TrapFrame{M: m, Cause: CauseCorrectness, Inst: in, Idx: m.curIdx, Site: slot.site}
-		if err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, f); err != nil {
+		if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, slot.site); err != nil {
 			return err
 		}
 	}
@@ -99,8 +98,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 			}
 			if isNaNPattern(bits) {
 				m.Stats.CorrectTraps++
-				f := &TrapFrame{M: m, Cause: CauseCorrectness, Inst: in, Idx: m.curIdx, Site: -2}
-				if err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, f); err != nil {
+				if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, -2); err != nil {
 					return err
 				}
 				break
@@ -297,8 +295,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 	case isa.OpCallext:
 		if m.ExternalTrap != nil {
 			m.Stats.ExtCallTraps++
-			f := &TrapFrame{M: m, Cause: CauseExternalCall, Inst: in, Idx: m.curIdx, Site: in.Ops[0].Imm}
-			if err := m.deliverTrap(m.ExternalTrap, m.CorrectnessDelivery, f); err != nil {
+			if _, err := m.deliverTrap(m.ExternalTrap, m.CorrectnessDelivery, CauseExternalCall, in, 0, in.Ops[0].Imm); err != nil {
 				return err
 			}
 		}
@@ -306,8 +303,7 @@ func (m *Machine) exec(in isa.Inst, slot *instSlot) error {
 	case isa.OpTrapc:
 		if m.CorrectnessTrap != nil {
 			m.Stats.CorrectTraps++
-			f := &TrapFrame{M: m, Cause: CauseCorrectness, Inst: in, Idx: m.curIdx, Site: in.Ops[0].Imm}
-			if err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, f); err != nil {
+			if _, err := m.deliverTrap(m.CorrectnessTrap, m.CorrectnessDelivery, CauseCorrectness, in, 0, in.Ops[0].Imm); err != nil {
 				return err
 			}
 		}

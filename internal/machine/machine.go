@@ -64,6 +64,15 @@ func (c TrapCause) String() string {
 // software amortization of the Figure 9 delivery cost). It reports the
 // number of *additional* instructions it retired in Coalesced; the machine
 // credits them to Stats.Instructions so retirement accounting stays exact.
+//
+// Frames belong to the machine, one per delivery depth, and are reused from
+// one delivery to the next, so a delivery allocates nothing. A frame is
+// valid only while the handler it was passed to runs: a handler must not
+// keep the *TrapFrame (or hand it to anything that does) after it returns,
+// because the next delivery at the same depth overwrites it. A delivery
+// nested inside a handler — a trap raised by an instruction the handler
+// executes through the machine — gets the next depth's frame and leaves
+// the outer one intact.
 type TrapFrame struct {
 	M     *Machine
 	Cause TrapCause
@@ -90,18 +99,18 @@ type PatchHandler func(*TrapFrame) (handled bool, err error)
 
 // Stats aggregates execution counters for the evaluation harness.
 type Stats struct {
-	Instructions    uint64            // retired instructions (incl. emulated)
-	FPInstructions  uint64            // retired FP-arithmetic instructions
-	FPTraps         uint64            // delivered FP exception traps
-	CoalescedFP     uint64            // instructions retired inside a trap delivery beyond the faulting one
-	CorrectTraps    uint64            // delivered correctness traps
-	ExtCallTraps    uint64            // delivered external-call traps
-	PatchInvokes    uint64            // trap-and-patch handler invocations
-	SBCompiled      uint64            // superblocks compiled by the trace-JIT tier
-	SBHits          uint64            // superblock entries executed (zero-delivery re-entries)
-	SBInvalidations uint64            // superblocks discarded on side-table/code-version changes
-	TrapByFlag      map[string]uint64 // trap counts keyed by flag set
-	Trap            trap.Stats        // delivery cost accounting
+	Instructions    uint64     // retired instructions (incl. emulated)
+	FPInstructions  uint64     // retired FP-arithmetic instructions
+	FPTraps         uint64     // delivered FP exception traps
+	CoalescedFP     uint64     // instructions retired inside a trap delivery beyond the faulting one
+	CorrectTraps    uint64     // delivered correctness traps
+	ExtCallTraps    uint64     // delivered external-call traps
+	PatchInvokes    uint64     // trap-and-patch handler invocations
+	SBCompiled      uint64     // superblocks compiled by the trace-JIT tier
+	SBHits          uint64     // superblock entries executed (zero-delivery re-entries)
+	SBInvalidations uint64     // superblocks discarded on side-table/code-version changes
+	TrapByFlag      [64]uint64 // trap counts indexed by the unmasked fpu.Flags set
+	Trap            trap.Stats // delivery cost accounting
 }
 
 // instSlot is the per-instruction side table of the dense pipeline: one
@@ -140,6 +149,11 @@ type Machine struct {
 	// and revalidates or discards itself when either has moved.
 	sideVer uint64
 	codeVer uint64
+	// frames is the trap-frame stack indexed by delivery depth; depth is the
+	// number of deliveries in progress. Frames are allocated on first use at
+	// each depth and reused from then on (see TrapFrame).
+	frames []*TrapFrame
+	depth  int
 
 	// Virtualization hooks.
 	FPTrap          TrapHandler // SIGFPE-analog handler (FPVM)
@@ -204,7 +218,6 @@ func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
 		CorrectnessDelivery: trap.DeliverUserSignal,
 		Out:                 out,
 	}
-	m.Stats.TrapByFlag = make(map[string]uint64)
 	m.MXCSR = fpu.DefaultMXCSR
 	if err := m.Load(prog); err != nil {
 		return nil, err
@@ -216,7 +229,7 @@ func NewSized(prog *isa.Program, out io.Writer, memSize int) (*Machine, error) {
 // would produce — architectural state, cost model, delivery profile, stats,
 // and hooks all back to their defaults — while retaining every allocation:
 // the memory image, the dense instruction stream, the addr→index table, the
-// side-table slots, and the stats map. This is what makes a machine cheaply
+// side-table slots, and the trap frames. This is what makes a machine cheaply
 // poolable: a reused machine is bit-identical to a fresh one, it just does
 // not pay the allocations again.
 //
@@ -242,13 +255,11 @@ func (m *Machine) Reset(prog *isa.Program, out io.Writer, memSize int) error {
 	m.MXCSR = fpu.DefaultMXCSR
 	m.Cycles = 0
 
-	tb := m.Stats.TrapByFlag
-	if tb == nil {
-		tb = make(map[string]uint64)
-	} else {
-		clear(tb)
+	m.Stats = Stats{}
+	m.depth = 0
+	for _, f := range m.frames {
+		*f = TrapFrame{}
 	}
-	m.Stats = Stats{TrapByFlag: tb}
 
 	m.FPTrap, m.CorrectnessTrap, m.ExternalTrap = nil, nil, nil
 	m.TrapOnNaNLoad = false
@@ -557,27 +568,47 @@ func (m *Machine) CodeVersion() uint64 { return m.codeVer }
 // "all writable program memory", not text.
 func (m *Machine) WritableBase() uint64 { return m.dataBase }
 
-// deliverTrap charges delivery costs and invokes a handler. When a telemetry
-// collector is attached it also emits trap entry/exit events and attributes
-// the delivery's full modeled cost (entry + handler + exit) to the trap site;
+// pushFrame fills and returns the trap frame for a delivery about to start
+// at the next depth; popFrame ends it. A handler that panics leaves its
+// depth pushed; Reset rewinds it.
+func (m *Machine) pushFrame(cause TrapCause, in isa.Inst, idx int, flags fpu.Flags, site int64) *TrapFrame {
+	if m.depth == len(m.frames) {
+		m.frames = append(m.frames, new(TrapFrame))
+	}
+	f := m.frames[m.depth]
+	m.depth++
+	*f = TrapFrame{M: m, Cause: cause, Inst: in, Idx: idx, Flags: flags, Site: site}
+	return f
+}
+
+func (m *Machine) popFrame() { m.depth-- }
+
+// deliverTrap charges delivery costs and invokes a handler with the frame
+// for this delivery, returning the number of instructions the handler
+// retired beyond in (TrapFrame.Coalesced). When a telemetry collector is
+// attached it also emits trap entry/exit events and attributes the
+// delivery's full modeled cost (entry + handler + exit) to the trap site;
 // the nil path is the exact pre-telemetry sequence.
-func (m *Machine) deliverTrap(h TrapHandler, k trap.Kind, f *TrapFrame) error {
+func (m *Machine) deliverTrap(h TrapHandler, k trap.Kind, cause TrapCause, in isa.Inst, flags fpu.Flags, site int64) (int, error) {
+	f := m.pushFrame(cause, in, m.curIdx, flags, site)
 	m.Stats.Trap.Record(m.Profile, k)
 	if m.Telem == nil {
 		m.Cycles += m.Profile.EntryCycles(k)
 		err := h(f)
 		m.Cycles += m.Profile.ExitCycles(k)
-		return err
+		m.popFrame()
+		return f.Coalesced, err
 	}
-	cause := telemetryCause(f.Cause)
+	tc := telemetryCause(cause)
 	before := m.Cycles
 	m.Cycles += m.Profile.EntryCycles(k)
-	m.Telem.TrapEnter(cause, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags, m.Cycles)
+	m.Telem.TrapEnter(tc, f.Idx, in.Addr, in.Op, flags, m.Cycles)
 	err := h(f)
 	m.Cycles += m.Profile.ExitCycles(k)
-	m.Telem.TrapExit(cause, f.Idx, f.Inst.Addr, f.Inst.Op, f.Flags,
+	m.Telem.TrapExit(tc, f.Idx, in.Addr, in.Op, flags,
 		m.Cycles-before, f.Coalesced, m.Cycles)
-	return err
+	m.popFrame()
+	return f.Coalesced, err
 }
 
 // telemetryCause maps the machine's trap cause onto the telemetry package's
@@ -618,8 +649,9 @@ func (m *Machine) Step() error {
 	if ph := m.slots[idx].patch; ph != nil {
 		m.Cycles += m.Cost.PatchCheck
 		m.Stats.PatchInvokes++
-		f := TrapFrame{M: m, Cause: CauseFPException, Inst: in, Idx: idx}
-		handled, err := ph(&f)
+		f := m.pushFrame(CauseFPException, in, idx, 0, 0)
+		handled, err := ph(f)
+		m.popFrame()
 		if err != nil {
 			return err
 		}

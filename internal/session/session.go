@@ -124,8 +124,7 @@ type Result struct {
 	Cycles uint64
 	// Instructions is the retired instruction count.
 	Instructions uint64
-	// Machine is a copy of the machine's counters (the TrapByFlag map is
-	// cloned so the pooled machine can reuse its own).
+	// Machine is a copy of the machine's counters.
 	Machine machine.Stats
 	// VM is a copy of the FPVM runtime's counters.
 	VM fpvm.Stats
@@ -193,13 +192,20 @@ type Session struct {
 	// sessions (a possible slow corruption no single run proves).
 	degradedStreak int
 
-	// patched caches the static-analysis result for patchedProg. Programs
-	// are immutable and the analysis is deterministic, so re-running it for
-	// the same *isa.Program would produce the same site table; reinstalling
-	// the cached one is bit-identical and skips the per-run VSA fixpoint.
-	patched     *patch.Patched
-	patchedProg *isa.Program
+	// analyses caches static-analysis results by program, most recently
+	// used first, at most analysisCacheSize of them. Programs are immutable
+	// and the analysis is deterministic, so re-running it for the same
+	// *isa.Program would produce the same site table; reinstalling the
+	// cached one is bit-identical and skips the per-run VSA fixpoint.
+	analyses []*patch.Patched
 }
+
+// analysisCacheSize bounds a session's analysis cache. A warm session that
+// rotates over a working set of programs — a benchmark pass over the paper
+// workloads, a pooled server session serving a few named programs —
+// analyzes each one once; a stream of one-off programs evicts the least
+// recently used.
+const analysisCacheSize = 16
 
 // New returns an empty session. The machine and VM are materialized lazily
 // on the first Run, sized by its Config.
@@ -288,15 +294,12 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 	// one-shot pipeline applies it.
 	var patched *patch.Patched
 	if !cfg.NoPatch {
-		if s.patched == nil || s.patchedProg != prog {
-			p, err := patch.Apply(prog, nil)
-			if err != nil {
-				return Result{}, fmt.Errorf("session: analysis: %w", err)
-			}
-			s.patched, s.patchedProg = p, prog
+		p, err := s.analysis(prog)
+		if err != nil {
+			return Result{}, fmt.Errorf("session: analysis: %w", err)
 		}
-		s.patched.Install(s.m)
-		patched = s.patched
+		p.Install(s.m)
+		patched = p
 	}
 
 	// Step 3: telemetry, reset for this run when requested.
@@ -354,7 +357,6 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 		Machine:      s.m.Stats,
 		VM:           s.vm.Stats,
 	}
-	res.Machine.TrapByFlag = cloneFlagMap(s.m.Stats.TrapByFlag)
 	if patched != nil {
 		res.CorrectnessSites = len(patched.Sites)
 	}
@@ -398,16 +400,24 @@ func (s *Session) run(prog *isa.Program, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// cloneFlagMap copies the machine's per-flag trap counters so the Result
-// survives the pooled machine's next Reset. A nil or empty map stays nil to
-// keep zero-trap runs allocation-free.
-func cloneFlagMap(m map[string]uint64) map[string]uint64 {
-	if len(m) == 0 {
-		return nil
+// analysis returns prog's §4.2 analysis from the cache, running it on a
+// miss, and moves it to the front of the cache.
+func (s *Session) analysis(prog *isa.Program) (*patch.Patched, error) {
+	for i, p := range s.analyses {
+		if p.Prog == prog {
+			copy(s.analyses[1:i+1], s.analyses[:i])
+			s.analyses[0] = p
+			return p, nil
+		}
 	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
+	p, err := patch.Apply(prog, nil)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	if len(s.analyses) < analysisCacheSize {
+		s.analyses = append(s.analyses, nil)
+	}
+	copy(s.analyses[1:], s.analyses)
+	s.analyses[0] = p
+	return p, nil
 }

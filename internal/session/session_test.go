@@ -340,11 +340,11 @@ loop:
 
 // TestWarmMPFREmulationAllocationFree is the VM-level allocation gate of
 // the MPFR-200 path: on a warm session, emulating an operation — promotion,
-// arithmetic, shadow-cell allocation, collection — allocates nothing. The
-// run as a whole still allocates one trap frame per delivery or superblock
-// entry (the machine's frame escapes to the heap; a separate problem) and a
-// few objects for the Result, so the gate is that allocations beyond those
-// stay a small constant while thousands of operations are emulated.
+// arithmetic, shadow-cell allocation, collection — allocates nothing, and
+// neither does delivering the trap or entering a superblock (the machine
+// owns its trap frames). The run as a whole may allocate a few objects for
+// the Result, so the gate is a small constant per run while thousands of
+// operations are emulated.
 func TestWarmMPFREmulationAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race (sync.Pool drops objects)")
@@ -372,10 +372,99 @@ func TestWarmMPFREmulationAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		frames := float64(res.Machine.FPTraps + res.Machine.SBHits)
-		if extra := allocs - frames; extra > 8 {
-			t.Errorf("%s: %v allocs per run beyond %v trap frames, over %d emulated ops; want a small constant (0 per op)",
-				name, extra, frames, res.VM.Emulated)
+		t.Logf("%s: %v allocs per run, %d deliveries, %d superblock entries", name, allocs, res.Machine.FPTraps, res.Machine.SBHits)
+		if allocs > 8 {
+			t.Errorf("%s: %v allocs per run over %d trap deliveries, %d superblock entries and %d emulated ops; want a small constant (0 per delivery and per op)",
+				name, allocs, res.Machine.FPTraps, res.Machine.SBHits, res.VM.Emulated)
+		}
+	}
+}
+
+// TestWarmVanillaTrapEmulateAllocations gates Vanilla's pure trap-and-emulate
+// path on a warm session: trap delivery, decode, bind, NaN-boxing and the
+// arena allocate nothing, so the only allocations left are the boxed
+// float64 values Vanilla produces — one per promoted operand and one per
+// emulated result — plus a small constant per run.
+func TestWarmVanillaTrapEmulateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race (sync.Pool drops objects)")
+	}
+	prog, err := asm.Assemble(mpfrLoopSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{System: arith.Vanilla{}, MemSize: testMemSize, GCEveryNAllocs: 1000}
+	s := New()
+	var res Result
+	for i := 0; i < 3; i++ {
+		if res, err = s.Run(prog, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.Machine.FPTraps < 1000 || res.VM.GC.Passes == 0 {
+		t.Fatalf("loop delivered %d traps and ran %d collections; want a trap-bound run that collects", res.Machine.FPTraps, res.VM.GC.Passes)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := s.Run(prog, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	boxed := float64(res.VM.Emulated + res.VM.Promotions + res.VM.UniversalNaN)
+	t.Logf("%v allocs per run, %v boxed values, %d deliveries", allocs, boxed, res.Machine.FPTraps)
+	if extra := allocs - boxed; extra > 8 {
+		t.Errorf("%v allocs per run beyond %v boxed float64 values, over %d trap deliveries; want a small constant (0 per delivery)",
+			extra, boxed, res.Machine.FPTraps)
+	}
+}
+
+// TestAnalysisCachePerProgram: a session alternating between programs runs
+// the §4.2 analysis once per program, and every run is bit-identical to a
+// fresh session's. The cache keeps the most recently used programs up to its
+// bound.
+func TestAnalysisCachePerProgram(t *testing.T) {
+	_, progs := buildTargets(t)
+	a, b := progs[0], progs[1]
+	s := New()
+	var first [2]*patch.Patched
+	for round := 0; round < 3; round++ {
+		for i, prog := range []*isa.Program{a, b} {
+			res, err := s.Run(prog, baseConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached := s.analyses[0]
+			if cached.Prog != prog {
+				t.Fatalf("round %d: most recent analysis is for another program", round)
+			}
+			if round == 0 {
+				first[i] = cached
+			} else if cached != first[i] {
+				t.Errorf("round %d: program %d analyzed again", round, i)
+			}
+			fresh := New()
+			fres, err := fresh.Run(prog, baseConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, fmt.Sprintf("round %d program %d", round, i), fres, res, fresh.Machine(), s.Machine())
+		}
+	}
+	if len(s.analyses) != 2 {
+		t.Errorf("cache holds %d analyses for 2 programs", len(s.analyses))
+	}
+
+	// Past the bound the least recently used program is evicted.
+	for i := 0; i < analysisCacheSize; i++ {
+		if _, err := s.Run(buildNoTrap(t), baseConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.analyses) != analysisCacheSize {
+		t.Fatalf("cache holds %d analyses, want the bound %d", len(s.analyses), analysisCacheSize)
+	}
+	for _, p := range s.analyses {
+		if p.Prog == a || p.Prog == b {
+			t.Error("least recently used programs survived eviction")
 		}
 	}
 }
